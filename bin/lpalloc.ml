@@ -198,36 +198,25 @@ let lifetimes_cmd =
   let run path threshold stream sharded domains timings =
     with_timings timings @@ fun () ->
     set_domains domains;
-    let hist, short, total =
-      if sharded then
-        let s = Lifetime.Shard.lifetimes ~threshold (load_sharded path) in
-        (s.Lp_trace.Lifetimes.hist, s.short_bytes, s.total_alloc_bytes)
+    let s : Lp_trace.Lifetimes.summary =
+      if sharded then Lifetime.Shard.lifetimes ~threshold (load_sharded path)
       else if stream then
-        let s =
-          io_guard (fun () ->
-              Lp_trace.Lifetimes.summary_source ~threshold
-                (Lp_trace.Source.of_file path))
-        in
-        (s.hist, s.short_bytes, s.total_alloc_bytes)
-      else begin
-        let trace = read_trace path in
-        let lifetimes = Lp_trace.Lifetimes.compute trace in
-        let hist = Lp_quantile.Histogram.create () in
-        let short = ref 0 and total = ref 0 in
-        Lp_trace.Trace.iter_allocs trace (fun ~obj ~size ~chain:_ ~key:_ ~tag:_ ->
-            Lp_quantile.Histogram.observe_weighted hist ~weight:size
-              (float_of_int lifetimes.lifetime.(obj));
-            total := !total + size;
-            if Lp_trace.Lifetimes.is_short_lived lifetimes ~threshold obj then
-              short := !short + size);
-        (hist, !short, !total)
-      end
+        io_guard (fun () ->
+            Lp_trace.Lifetimes.summary_source ~threshold
+              (Lp_trace.Source.of_file path))
+      else
+        Lp_trace.Lifetimes.summary_source ~threshold
+          (Lp_trace.Source.of_trace (read_trace path))
     in
-    let q = Lp_quantile.Histogram.quartiles hist in
-    Format.printf "byte-weighted lifetime quartiles: %a@."
-      Lp_quantile.Histogram.pp_quartiles q;
+    if Lp_quantile.Histogram.count s.hist = 0 then
+      print_endline "byte-weighted lifetime quartiles: no allocated bytes"
+    else
+      Format.printf "byte-weighted lifetime quartiles: %a@."
+        Lp_quantile.Histogram.pp_quartiles
+        (Lp_quantile.Histogram.quartiles s.hist);
     Printf.printf "short-lived (< %d bytes): %.1f%% of bytes\n" threshold
-      (100. *. float_of_int short /. float_of_int (max 1 total))
+      (100. *. float_of_int s.short_bytes
+      /. float_of_int (max 1 s.total_alloc_bytes))
   in
   Cmd.v
     (Cmd.info "lifetimes" ~doc:"Lifetime distribution of a trace (cf. Table 3)")

@@ -435,77 +435,73 @@ let run_source_impl ?cache ?predictor (src : Lp_trace.Source.t)
     new_addr
   in
   let event = ref (-1) in
-  let rec loop () =
-    match Lp_trace.Source.next src with
-    | None -> ()
-    | Some ev ->
-        incr event;
-        let event = !event in
-        (match ev with
-        | Lp_trace.Event.Alloc { obj; size; chain; key; _ } ->
-            if obj < 0 then event_error ~event "alloc of out-of-range" obj;
-            if Lp_trace.Grow.get addr_of obj >= 0 then
-              event_error ~event "second alloc of live" obj;
-            let predicted =
-              match predictor with
-              | None -> false
-              | Some p ->
-                  B.charge_alloc b p.predict_cost;
-                  let v = p.predicted ~obj ~size ~chain ~key in
-                  incr predictions;
-                  Lp_trace.Grow.set birth_of obj !total_bytes;
-                  Lp_trace.Grow.set flag_of obj (if v then 1 else 0);
-                  if obj > !max_obj then max_obj := obj;
-                  v
-            in
-            let addr = B.alloc b ~size ~predicted in
-            Lp_trace.Grow.set addr_of obj addr;
-            Lp_trace.Grow.set size_of obj size;
-            total_bytes := !total_bytes + size;
-            let l = !live + size in
-            live := l;
-            if l > !max_live then max_live := l;
-            (match cache with
-            | Some c -> Cache.access_range c ~addr ~bytes:8
-            | None -> ())
-        | Lp_trace.Event.Free { obj; _ } ->
-            if obj < 0 then event_error ~event "free of out-of-range" obj;
-            let addr = Lp_trace.Grow.get addr_of obj in
-            if addr < 0 then
-              event_error ~event "free of never-allocated or already-freed" obj;
-            B.free b addr;
-            live := !live - Lp_trace.Grow.get size_of obj;
-            (match cache with
-            | Some c -> Cache.access_range c ~addr ~bytes:8
-            | None -> ());
-            Lp_trace.Grow.set addr_of obj (-1);
-            (match predictor with
-            | Some p -> observe_outcome p ~obj ~survived:false
-            | None -> ())
-        | Lp_trace.Event.Realloc { obj; old_size; new_size; chain; key; _ } -> (
-            let new_addr =
-              do_realloc ~event ~obj ~old_size ~new_size ~chain ~key
-            in
-            match cache with
-            | Some c -> Cache.access_range c ~addr:new_addr ~bytes:8
-            | None -> ())
-        | Lp_trace.Event.Touch { obj; count } -> (
-            if obj < 0 then event_error ~event "touch of out-of-range" obj;
-            match cache with
-            | None -> ()
-            | Some c ->
-                let addr = Lp_trace.Grow.get addr_of obj in
-                let size = Lp_trace.Grow.get size_of obj in
-                if addr >= 0 then
-                  for _ = 1 to count do
-                    Cache.access c
-                      (addr + (Lp_trace.Grow.get ref_cursor obj mod max 1 size));
-                    Lp_trace.Grow.set ref_cursor obj
-                      (Lp_trace.Grow.get ref_cursor obj + 16)
-                  done));
-        loop ()
-  in
-  loop ();
+  Lp_trace.Source.iter
+    (fun ev ->
+      incr event;
+      let event = !event in
+      match ev with
+      | Lp_trace.Event.Alloc { obj; size; chain; key; _ } ->
+          if obj < 0 then event_error ~event "alloc of out-of-range" obj;
+          if Lp_trace.Grow.get addr_of obj >= 0 then
+            event_error ~event "second alloc of live" obj;
+          let predicted =
+            match predictor with
+            | None -> false
+            | Some p ->
+                B.charge_alloc b p.predict_cost;
+                let v = p.predicted ~obj ~size ~chain ~key in
+                incr predictions;
+                Lp_trace.Grow.set birth_of obj !total_bytes;
+                Lp_trace.Grow.set flag_of obj (if v then 1 else 0);
+                if obj > !max_obj then max_obj := obj;
+                v
+          in
+          let addr = B.alloc b ~size ~predicted in
+          Lp_trace.Grow.set addr_of obj addr;
+          Lp_trace.Grow.set size_of obj size;
+          total_bytes := !total_bytes + size;
+          let l = !live + size in
+          live := l;
+          if l > !max_live then max_live := l;
+          (match cache with
+          | Some c -> Cache.access_range c ~addr ~bytes:8
+          | None -> ())
+      | Lp_trace.Event.Free { obj; _ } ->
+          if obj < 0 then event_error ~event "free of out-of-range" obj;
+          let addr = Lp_trace.Grow.get addr_of obj in
+          if addr < 0 then
+            event_error ~event "free of never-allocated or already-freed" obj;
+          B.free b addr;
+          live := !live - Lp_trace.Grow.get size_of obj;
+          (match cache with
+          | Some c -> Cache.access_range c ~addr ~bytes:8
+          | None -> ());
+          Lp_trace.Grow.set addr_of obj (-1);
+          (match predictor with
+          | Some p -> observe_outcome p ~obj ~survived:false
+          | None -> ())
+      | Lp_trace.Event.Realloc { obj; old_size; new_size; chain; key; _ } -> (
+          let new_addr =
+            do_realloc ~event ~obj ~old_size ~new_size ~chain ~key
+          in
+          match cache with
+          | Some c -> Cache.access_range c ~addr:new_addr ~bytes:8
+          | None -> ())
+      | Lp_trace.Event.Touch { obj; count } -> (
+          if obj < 0 then event_error ~event "touch of out-of-range" obj;
+          match cache with
+          | None -> ()
+          | Some c ->
+              let addr = Lp_trace.Grow.get addr_of obj in
+              let size = Lp_trace.Grow.get size_of obj in
+              if addr >= 0 then
+                for _ = 1 to count do
+                  Cache.access c
+                    (addr + (Lp_trace.Grow.get ref_cursor obj mod max 1 size));
+                  Lp_trace.Grow.set ref_cursor obj
+                    (Lp_trace.Grow.get ref_cursor obj + 16)
+                done))
+    src;
   (match predictor with
   | None -> ()
   | Some p ->
@@ -536,7 +532,7 @@ let run_source_impl ?cache ?predictor (src : Lp_trace.Source.t)
 let run_source ?cache ?predictor ?(decode_ahead = false) src
     ((module B : Backend.BACKEND) as backend) =
   let t0 = Lp_obs.Timings.now () in
-  (* the replay loop below drains to [None] (or dies with the decode
+  (* the replay loop below drains the source (or dies with the decode
      error), satisfying [decode_ahead]'s must-drain contract *)
   let piped = if decode_ahead then Lp_trace.Source.decode_ahead src else src in
   let m =
@@ -547,11 +543,7 @@ let run_source ?cache ?predictor ?(decode_ahead = false) src
            the wrapper so the producer domain retires before we re-raise *)
         let bt = Printexc.get_raw_backtrace () in
         if decode_ahead then
-          (try
-             while Lp_trace.Source.next piped <> None do
-               ()
-             done
-           with _ -> ());
+          (try Lp_trace.Source.iter ignore piped with _ -> ());
         Printexc.raise_with_backtrace e bt
   in
   Lp_obs.Timings.record

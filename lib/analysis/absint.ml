@@ -107,39 +107,35 @@ let run_over analyses (src : Source.t) (en : entry) =
   in
   let steps = Array.of_list (List.map fst entered) in
   let n_steps = Array.length steps in
-  let rec loop () =
-    match Source.next src with
-    | None -> ()
-    | Some ev ->
-        ctx.cx_event <- ctx.cx_event + 1;
-        (* domains observe the pre-event context *)
-        for i = 0 to n_steps - 1 do
-          steps.(i) ctx ev
-        done;
-        (match ev with
-        | Event.Alloc { obj; size; chain; _ } ->
-            if obj >= 0 then begin
-              Grow.set cur_size obj size;
-              Grow.set birth_chain obj chain
-            end;
-            ctx.cx_clock <- ctx.cx_clock + size;
-            ctx.cx_live_bytes <- ctx.cx_live_bytes + size;
-            ctx.cx_live_objs <- ctx.cx_live_objs + 1
-        | Event.Free { obj; _ } ->
-            if obj >= 0 then
-              ctx.cx_live_bytes <- ctx.cx_live_bytes - Grow.get cur_size obj;
-            ctx.cx_live_objs <- ctx.cx_live_objs - 1
-        | Event.Realloc { obj; old_size; new_size; _ } ->
-            if obj >= 0 then begin
-              ctx.cx_live_bytes <-
-                ctx.cx_live_bytes - Grow.get cur_size obj + new_size;
-              Grow.set cur_size obj new_size
-            end;
-            ctx.cx_clock <- ctx.cx_clock + max 0 (new_size - old_size)
-        | Event.Touch _ -> ());
-        loop ()
-  in
-  loop ();
+  Source.iter
+    (fun ev ->
+      ctx.cx_event <- ctx.cx_event + 1;
+      (* domains observe the pre-event context *)
+      for i = 0 to n_steps - 1 do
+        steps.(i) ctx ev
+      done;
+      match ev with
+      | Event.Alloc { obj; size; chain; _ } ->
+          if obj >= 0 then begin
+            Grow.set cur_size obj size;
+            Grow.set birth_chain obj chain
+          end;
+          ctx.cx_clock <- ctx.cx_clock + size;
+          ctx.cx_live_bytes <- ctx.cx_live_bytes + size;
+          ctx.cx_live_objs <- ctx.cx_live_objs + 1
+      | Event.Free { obj; _ } ->
+          if obj >= 0 then
+            ctx.cx_live_bytes <- ctx.cx_live_bytes - Grow.get cur_size obj;
+          ctx.cx_live_objs <- ctx.cx_live_objs - 1
+      | Event.Realloc { obj; old_size; new_size; _ } ->
+          if obj >= 0 then begin
+            ctx.cx_live_bytes <-
+              ctx.cx_live_bytes - Grow.get cur_size obj + new_size;
+            Grow.set cur_size obj new_size
+          end;
+          ctx.cx_clock <- ctx.cx_clock + max 0 (new_size - old_size)
+      | Event.Touch _ -> ())
+    src;
   List.map (fun (_, finish) -> finish ()) entered
 
 let run_range ~analyses (rg : Sharded.range) =
@@ -264,38 +260,27 @@ module Site_profile = struct
         ~hint:(max 64 (Array.length en.en_carry))
         ~start_clock:en.en_start_clock ~carry:en.en_carry ()
     in
-    let interned : (int * int, int) Hashtbl.t = Hashtbl.create 256 in
-    let n_sites = ref 0 in
-    let chains = ref [] and sizes = ref [] in
+    let ids = Lp_trace.Site_intern.create () in
     let keys = ref [] and firsts = ref [] in
     let alloc_site = Grow.create 1024 in
     let n_allocs = ref 0 in
     let step (ctx : ctx) ev =
       (match ev with
       | Event.Alloc { size; chain; key; _ } ->
-          let sid =
-            match Hashtbl.find_opt interned (chain, size) with
-            | Some id -> id
-            | None ->
-                let id = !n_sites in
-                incr n_sites;
-                Hashtbl.add interned (chain, size) id;
-                (* corrupt traces can carry unresolvable chain ids; key
-                   them like an empty chain rather than crashing *)
-                let raw_chain =
-                  if chain >= 0 && chain < src.Source.n_chains () then
-                    src.Source.chain chain
-                  else [||]
-                in
-                let site =
-                  Site.make cfg.pc_policy ~raw_chain ~key ~size
-                in
-                chains := chain :: !chains;
-                sizes := size :: !sizes;
-                keys := portable_of cfg (src.Source.funcs ()) site :: !keys;
-                firsts := ctx.cx_event :: !firsts;
-                id
-          in
+          let n_sites = Lp_trace.Site_intern.length ids in
+          let sid = Lp_trace.Site_intern.intern ids chain size in
+          if sid = n_sites then begin
+            (* corrupt traces can carry unresolvable chain ids; key
+               them like an empty chain rather than crashing *)
+            let raw_chain =
+              if chain >= 0 && chain < src.Source.n_chains () then
+                src.Source.chain chain
+              else [||]
+            in
+            let site = Site.make cfg.pc_policy ~raw_chain ~key ~size in
+            keys := portable_of cfg (src.Source.funcs ()) site :: !keys;
+            firsts := ctx.cx_event :: !firsts
+          end;
           Grow.set alloc_site !n_allocs sid;
           incr n_allocs
       | _ -> ());
@@ -304,8 +289,8 @@ module Site_profile = struct
     let finish () =
       Summary
         {
-          sm_chains = Array.of_list (List.rev !chains);
-          sm_sizes = Array.of_list (List.rev !sizes);
+          sm_chains = Lp_trace.Site_intern.chains ids;
+          sm_sizes = Lp_trace.Site_intern.sizes ids;
           sm_keys = Array.of_list (List.rev !keys);
           sm_first_event = Array.of_list (List.rev !firsts);
           sm_alloc_site =
@@ -327,11 +312,11 @@ module Site_profile = struct
     (* intern sites and keys in range order, which is global
        first-appearance order — the invariant every ordering below
        (diagnostic order, quartile-histogram state) rests on *)
-    let site_ids : (int * int, int) Hashtbl.t = Hashtbl.create 1024 in
+    let site_ids = Lp_trace.Site_intern.create ~capacity:1024 () in
     let key_ids : int Lifetime.Portable.Table.t =
       Lifetime.Portable.Table.create 256
     in
-    let sites_rev = ref [] and n_sites = ref 0 in
+    let sites_rev = ref [] in
     let keys_rev = ref [] and n_keys = ref 0 in
     let maps =
       List.map
@@ -339,51 +324,49 @@ module Site_profile = struct
           Array.mapi
             (fun l chain ->
               let size = s.sm_sizes.(l) in
-              match Hashtbl.find_opt site_ids (chain, size) with
-              | Some g -> g
-              | None ->
-                  let g = !n_sites in
-                  incr n_sites;
-                  Hashtbl.add site_ids (chain, size) g;
-                  let portable = s.sm_keys.(l) in
-                  let kid =
-                    match
-                      Lifetime.Portable.Table.find_opt key_ids portable
-                    with
-                    | Some k -> k
-                    | None ->
-                        let k = !n_keys in
-                        incr n_keys;
-                        Lifetime.Portable.Table.add key_ids portable k;
-                        keys_rev :=
-                          {
-                            ky_key = portable;
-                            ky_first_event = s.sm_first_event.(l);
-                            ky_sites = [];
-                            ky_count = 0;
-                            ky_short = 0;
-                            ky_survivors = 0;
-                            ky_max_lifetime = 0;
-                            ky_bytes = 0;
-                          }
-                          :: !keys_rev;
-                        k
-                  in
-                  sites_rev :=
-                    {
-                      st_chain = chain;
-                      st_size = size;
-                      st_key = kid;
-                      st_first_event = s.sm_first_event.(l);
-                      st_count = 0;
-                      st_short = 0;
-                      st_survivors = 0;
-                      st_max_lifetime = 0;
-                      st_bytes = 0;
-                      st_hist = Lp_quantile.Histogram.create ();
-                    }
-                    :: !sites_rev;
-                  g)
+              let n_sites = Lp_trace.Site_intern.length site_ids in
+              let g = Lp_trace.Site_intern.intern site_ids chain size in
+              if g < n_sites then g
+              else
+                let portable = s.sm_keys.(l) in
+                let kid =
+                  match
+                    Lifetime.Portable.Table.find_opt key_ids portable
+                  with
+                  | Some k -> k
+                  | None ->
+                      let k = !n_keys in
+                      incr n_keys;
+                      Lifetime.Portable.Table.add key_ids portable k;
+                      keys_rev :=
+                        {
+                          ky_key = portable;
+                          ky_first_event = s.sm_first_event.(l);
+                          ky_sites = [];
+                          ky_count = 0;
+                          ky_short = 0;
+                          ky_survivors = 0;
+                          ky_max_lifetime = 0;
+                          ky_bytes = 0;
+                        }
+                        :: !keys_rev;
+                      k
+                in
+                sites_rev :=
+                  {
+                    st_chain = chain;
+                    st_size = size;
+                    st_key = kid;
+                    st_first_event = s.sm_first_event.(l);
+                    st_count = 0;
+                    st_short = 0;
+                    st_survivors = 0;
+                    st_max_lifetime = 0;
+                    st_bytes = 0;
+                    st_hist = Lp_quantile.Histogram.create ();
+                  }
+                  :: !sites_rev;
+                g)
             s.sm_chains)
         sums
     in

@@ -99,124 +99,120 @@ let run_source ?only ?disable ?(max_chain_depth = default_max_chain_depth)
   let chain_reported = Lp_trace.Grow.create 64 in
   let next_obj = ref 0 in
   let event = ref (-1) in
-  let rec loop () =
-    match Lp_trace.Source.next src with
-    | None -> ()
-    | Some ev ->
-        incr event;
-        let event = !event in
-        (match (ev : Lp_trace.Event.t) with
-        | Alloc { obj; size; chain; _ } ->
-            if size <= 0 then
-              emit ~rule:"nonpositive-size" ~severity:Error ~event ~obj
+  Lp_trace.Source.iter
+    (fun ev ->
+      incr event;
+      let event = !event in
+      match (ev : Lp_trace.Event.t) with
+      | Alloc { obj; size; chain; _ } ->
+          if size <= 0 then
+            emit ~rule:"nonpositive-size" ~severity:Error ~event ~obj
+              ~site:(render_chain chain)
+              (Printf.sprintf "allocation of object %d with size %d" obj size);
+          if obj <> !next_obj then
+            emit ~rule:"non-monotonic-birth" ~severity:Error ~event ~obj
+              (Printf.sprintf
+                 "allocation of object %d out of birth order (expected \
+                  object %d)"
+                 obj !next_obj);
+          if obj >= 0 then begin
+            if obj >= !next_obj then next_obj := obj + 1;
+            Lp_trace.Grow.set state obj live;
+            Lp_trace.Grow.set alloc_size obj size;
+            Lp_trace.Grow.set alloc_event obj event;
+            Lp_trace.Grow.set alloc_chain obj chain
+          end
+          else incr next_obj;
+          if
+            chain >= 0
+            && chain < src.Lp_trace.Source.n_chains ()
+            && Lp_trace.Grow.get chain_reported chain = 0
+          then begin
+            let depth =
+              Array.length (src.Lp_trace.Source.chain chain)
+            in
+            if depth = 0 then begin
+              Lp_trace.Grow.set chain_reported chain 1;
+              emit ~rule:"chain-anomaly" ~severity:Warning ~event ~obj
+                ~site:"<empty chain>"
+                (Printf.sprintf "allocation call-chain %d is empty" chain)
+            end
+            else if depth > max_chain_depth then begin
+              Lp_trace.Grow.set chain_reported chain 1;
+              emit ~rule:"chain-anomaly" ~severity:Warning ~event ~obj
                 ~site:(render_chain chain)
-                (Printf.sprintf "allocation of object %d with size %d" obj size);
-            if obj <> !next_obj then
-              emit ~rule:"non-monotonic-birth" ~severity:Error ~event ~obj
                 (Printf.sprintf
-                   "allocation of object %d out of birth order (expected \
-                    object %d)"
-                   obj !next_obj);
-            if obj >= 0 then begin
-              if obj >= !next_obj then next_obj := obj + 1;
-              Lp_trace.Grow.set state obj live;
-              Lp_trace.Grow.set alloc_size obj size;
-              Lp_trace.Grow.set alloc_event obj event;
-              Lp_trace.Grow.set alloc_chain obj chain
+                   "allocation call-chain %d has depth %d (limit %d)" chain
+                   depth max_chain_depth)
             end
-            else incr next_obj;
-            if
-              chain >= 0
-              && chain < src.Lp_trace.Source.n_chains ()
-              && Lp_trace.Grow.get chain_reported chain = 0
-            then begin
-              let depth =
-                Array.length (src.Lp_trace.Source.chain chain)
-              in
-              if depth = 0 then begin
-                Lp_trace.Grow.set chain_reported chain 1;
-                emit ~rule:"chain-anomaly" ~severity:Warning ~event ~obj
-                  ~site:"<empty chain>"
-                  (Printf.sprintf "allocation call-chain %d is empty" chain)
-              end
-              else if depth > max_chain_depth then begin
-                Lp_trace.Grow.set chain_reported chain 1;
-                emit ~rule:"chain-anomaly" ~severity:Warning ~event ~obj
-                  ~site:(render_chain chain)
-                  (Printf.sprintf
-                     "allocation call-chain %d has depth %d (limit %d)" chain
-                     depth max_chain_depth)
-              end
-            end
-        | Free { obj; size } ->
-            if obj < 0 || Lp_trace.Grow.get state obj = unborn then
-              emit ~rule:"free-without-alloc" ~severity:Error ~event ~obj
-                (Printf.sprintf "free of object %d which has not been allocated"
-                   obj)
+          end
+      | Free { obj; size } ->
+          if obj < 0 || Lp_trace.Grow.get state obj = unborn then
+            emit ~rule:"free-without-alloc" ~severity:Error ~event ~obj
+              (Printf.sprintf "free of object %d which has not been allocated"
+                 obj)
+          else begin
+            let st = Lp_trace.Grow.get state obj in
+            (if st >= 0 then
+               emit ~rule:"double-free" ~severity:Error ~event ~obj
+                 ~site:(render_chain (Lp_trace.Grow.get alloc_chain obj))
+                 (Printf.sprintf
+                    "object %d freed again (first freed at event %d)" obj st));
+            if size >= 0 && size <> Lp_trace.Grow.get alloc_size obj then
+              emit ~rule:"size-mismatch-at-free" ~severity:Error ~event ~obj
+                ~site:(render_chain (Lp_trace.Grow.get alloc_chain obj))
+                (Printf.sprintf
+                   "free declares size %d but object %d was allocated with \
+                    size %d at event %d"
+                   size obj
+                   (Lp_trace.Grow.get alloc_size obj)
+                   (Lp_trace.Grow.get alloc_event obj));
+            if st = live then Lp_trace.Grow.set state obj event
+          end
+      | Realloc { obj; old_size; new_size; chain; _ } ->
+          if new_size <= 0 then
+            emit ~rule:"nonpositive-size" ~severity:Error ~event ~obj
+              ~site:(render_chain chain)
+              (Printf.sprintf "realloc of object %d to size %d" obj new_size);
+          if obj < 0 || Lp_trace.Grow.get state obj = unborn then
+            emit ~rule:"realloc-of-unallocated" ~severity:Error ~event ~obj
+              ~site:(render_chain chain)
+              (Printf.sprintf
+                 "realloc of object %d which has not been allocated" obj)
+          else begin
+            let st = Lp_trace.Grow.get state obj in
+            if st >= 0 then
+              emit ~rule:"realloc-after-free" ~severity:Error ~event ~obj
+                ~site:(render_chain (Lp_trace.Grow.get alloc_chain obj))
+                (Printf.sprintf
+                   "realloc of object %d after its free at event %d" obj st)
             else begin
-              let st = Lp_trace.Grow.get state obj in
-              (if st >= 0 then
-                 emit ~rule:"double-free" ~severity:Error ~event ~obj
+              (if old_size <> Lp_trace.Grow.get alloc_size obj then
+                 emit ~rule:"realloc-size-regression" ~severity:Error ~event
+                   ~obj
                    ~site:(render_chain (Lp_trace.Grow.get alloc_chain obj))
                    (Printf.sprintf
-                      "object %d freed again (first freed at event %d)" obj st));
-              if size >= 0 && size <> Lp_trace.Grow.get alloc_size obj then
-                emit ~rule:"size-mismatch-at-free" ~severity:Error ~event ~obj
-                  ~site:(render_chain (Lp_trace.Grow.get alloc_chain obj))
-                  (Printf.sprintf
-                     "free declares size %d but object %d was allocated with \
-                      size %d at event %d"
-                     size obj
-                     (Lp_trace.Grow.get alloc_size obj)
-                     (Lp_trace.Grow.get alloc_event obj));
-              if st = live then Lp_trace.Grow.set state obj event
+                      "realloc declares old size %d but object %d currently \
+                       has size %d (allocated at event %d)"
+                      old_size obj
+                      (Lp_trace.Grow.get alloc_size obj)
+                      (Lp_trace.Grow.get alloc_event obj)));
+              (* later size checks are against the resized object *)
+              Lp_trace.Grow.set alloc_size obj new_size
             end
-        | Realloc { obj; old_size; new_size; chain; _ } ->
-            if new_size <= 0 then
-              emit ~rule:"nonpositive-size" ~severity:Error ~event ~obj
-                ~site:(render_chain chain)
-                (Printf.sprintf "realloc of object %d to size %d" obj new_size);
-            if obj < 0 || Lp_trace.Grow.get state obj = unborn then
-              emit ~rule:"realloc-of-unallocated" ~severity:Error ~event ~obj
-                ~site:(render_chain chain)
-                (Printf.sprintf
-                   "realloc of object %d which has not been allocated" obj)
-            else begin
-              let st = Lp_trace.Grow.get state obj in
-              if st >= 0 then
-                emit ~rule:"realloc-after-free" ~severity:Error ~event ~obj
-                  ~site:(render_chain (Lp_trace.Grow.get alloc_chain obj))
-                  (Printf.sprintf
-                     "realloc of object %d after its free at event %d" obj st)
-              else begin
-                (if old_size <> Lp_trace.Grow.get alloc_size obj then
-                   emit ~rule:"realloc-size-regression" ~severity:Error ~event
-                     ~obj
-                     ~site:(render_chain (Lp_trace.Grow.get alloc_chain obj))
-                     (Printf.sprintf
-                        "realloc declares old size %d but object %d currently \
-                         has size %d (allocated at event %d)"
-                        old_size obj
-                        (Lp_trace.Grow.get alloc_size obj)
-                        (Lp_trace.Grow.get alloc_event obj)));
-                (* later size checks are against the resized object *)
-                Lp_trace.Grow.set alloc_size obj new_size
-              end
-            end
-        | Touch { obj; _ } ->
-            if obj < 0 || Lp_trace.Grow.get state obj = unborn then
+          end
+      | Touch { obj; _ } ->
+          if obj < 0 || Lp_trace.Grow.get state obj = unborn then
+            emit ~rule:"touch-after-free" ~severity:Error ~event ~obj
+              (Printf.sprintf "touch of object %d before its allocation" obj)
+          else
+            let st = Lp_trace.Grow.get state obj in
+            if st >= 0 then
               emit ~rule:"touch-after-free" ~severity:Error ~event ~obj
-                (Printf.sprintf "touch of object %d before its allocation" obj)
-            else
-              let st = Lp_trace.Grow.get state obj in
-              if st >= 0 then
-                emit ~rule:"touch-after-free" ~severity:Error ~event ~obj
-                  ~site:(render_chain (Lp_trace.Grow.get alloc_chain obj))
-                  (Printf.sprintf "touch of object %d after its free at event %d"
-                     obj st));
-        loop ()
-  in
-  loop ();
+                ~site:(render_chain (Lp_trace.Grow.get alloc_chain obj))
+                (Printf.sprintf "touch of object %d after its free at event %d"
+                   obj st))
+    src;
   for obj = 0 to src.Lp_trace.Source.n_objects_now () - 1 do
     if Lp_trace.Grow.get state obj = live then
       emit ~rule:"leaked-at-exit" ~severity:Warning
@@ -316,129 +312,125 @@ let run_range ?only ?disable ?(max_chain_depth = default_max_chain_depth)
     rg.Lp_trace.Sharded.rg_carry;
   let next_obj = ref rg.Lp_trace.Sharded.rg_next_obj in
   let event = ref (rg.Lp_trace.Sharded.rg_first_event - 1) in
-  let rec loop () =
-    match Lp_trace.Source.next src with
-    | None -> ()
-    | Some ev ->
-        incr event;
-        let event = !event in
-        (match (ev : Lp_trace.Event.t) with
-        | Alloc { obj; size; chain; _ } ->
-            if size <= 0 then
-              emit ~rule:"nonpositive-size" ~severity:Error ~event ~obj
+  Lp_trace.Source.iter
+    (fun ev ->
+      incr event;
+      let event = !event in
+      match (ev : Lp_trace.Event.t) with
+      | Alloc { obj; size; chain; _ } ->
+          if size <= 0 then
+            emit ~rule:"nonpositive-size" ~severity:Error ~event ~obj
+              ~site:(render_chain chain)
+              (Printf.sprintf "allocation of object %d with size %d" obj size);
+          if obj <> !next_obj then
+            emit ~rule:"non-monotonic-birth" ~severity:Error ~event ~obj
+              (Printf.sprintf
+                 "allocation of object %d out of birth order (expected \
+                  object %d)"
+                 obj !next_obj);
+          if obj >= 0 then begin
+            if obj >= !next_obj then next_obj := obj + 1;
+            touch obj;
+            Lp_trace.Grow.set state obj live;
+            Lp_trace.Grow.set alloc_size obj size;
+            Lp_trace.Grow.set alloc_event obj event;
+            Lp_trace.Grow.set alloc_chain obj chain
+          end
+          else incr next_obj;
+          if
+            chain >= 0
+            && chain < src.Lp_trace.Source.n_chains ()
+            && Lp_trace.Grow.get chain_reported chain = 0
+          then begin
+            let depth = Array.length (src.Lp_trace.Source.chain chain) in
+            if depth = 0 then begin
+              Lp_trace.Grow.set chain_reported chain 1;
+              emit_chain_once ~chain ~severity:Warning ~event ~obj
+                ~site:"<empty chain>"
+                (Printf.sprintf "allocation call-chain %d is empty" chain)
+            end
+            else if depth > max_chain_depth then begin
+              Lp_trace.Grow.set chain_reported chain 1;
+              emit_chain_once ~chain ~severity:Warning ~event ~obj
                 ~site:(render_chain chain)
-                (Printf.sprintf "allocation of object %d with size %d" obj size);
-            if obj <> !next_obj then
-              emit ~rule:"non-monotonic-birth" ~severity:Error ~event ~obj
                 (Printf.sprintf
-                   "allocation of object %d out of birth order (expected \
-                    object %d)"
-                   obj !next_obj);
-            if obj >= 0 then begin
-              if obj >= !next_obj then next_obj := obj + 1;
+                   "allocation call-chain %d has depth %d (limit %d)" chain
+                   depth max_chain_depth)
+            end
+          end
+      | Free { obj; size } ->
+          if obj < 0 || Lp_trace.Grow.get state obj = unborn then
+            emit ~rule:"free-without-alloc" ~severity:Error ~event ~obj
+              (Printf.sprintf "free of object %d which has not been allocated"
+                 obj)
+          else begin
+            let st = Lp_trace.Grow.get state obj in
+            (if st >= 0 then
+               emit ~rule:"double-free" ~severity:Error ~event ~obj
+                 ~site:(render_chain (Lp_trace.Grow.get alloc_chain obj))
+                 (Printf.sprintf
+                    "object %d freed again (first freed at event %d)" obj st));
+            if size >= 0 && size <> Lp_trace.Grow.get alloc_size obj then
+              emit ~rule:"size-mismatch-at-free" ~severity:Error ~event ~obj
+                ~site:(render_chain (Lp_trace.Grow.get alloc_chain obj))
+                (Printf.sprintf
+                   "free declares size %d but object %d was allocated with \
+                    size %d at event %d"
+                   size obj
+                   (Lp_trace.Grow.get alloc_size obj)
+                   (Lp_trace.Grow.get alloc_event obj));
+            if st = live then begin
               touch obj;
-              Lp_trace.Grow.set state obj live;
-              Lp_trace.Grow.set alloc_size obj size;
-              Lp_trace.Grow.set alloc_event obj event;
-              Lp_trace.Grow.set alloc_chain obj chain
+              Lp_trace.Grow.set state obj event
             end
-            else incr next_obj;
-            if
-              chain >= 0
-              && chain < src.Lp_trace.Source.n_chains ()
-              && Lp_trace.Grow.get chain_reported chain = 0
-            then begin
-              let depth = Array.length (src.Lp_trace.Source.chain chain) in
-              if depth = 0 then begin
-                Lp_trace.Grow.set chain_reported chain 1;
-                emit_chain_once ~chain ~severity:Warning ~event ~obj
-                  ~site:"<empty chain>"
-                  (Printf.sprintf "allocation call-chain %d is empty" chain)
-              end
-              else if depth > max_chain_depth then begin
-                Lp_trace.Grow.set chain_reported chain 1;
-                emit_chain_once ~chain ~severity:Warning ~event ~obj
-                  ~site:(render_chain chain)
-                  (Printf.sprintf
-                     "allocation call-chain %d has depth %d (limit %d)" chain
-                     depth max_chain_depth)
-              end
-            end
-        | Free { obj; size } ->
-            if obj < 0 || Lp_trace.Grow.get state obj = unborn then
-              emit ~rule:"free-without-alloc" ~severity:Error ~event ~obj
-                (Printf.sprintf "free of object %d which has not been allocated"
-                   obj)
+          end
+      | Realloc { obj; old_size; new_size; chain; _ } ->
+          if new_size <= 0 then
+            emit ~rule:"nonpositive-size" ~severity:Error ~event ~obj
+              ~site:(render_chain chain)
+              (Printf.sprintf "realloc of object %d to size %d" obj new_size);
+          if obj < 0 || Lp_trace.Grow.get state obj = unborn then
+            emit ~rule:"realloc-of-unallocated" ~severity:Error ~event ~obj
+              ~site:(render_chain chain)
+              (Printf.sprintf
+                 "realloc of object %d which has not been allocated" obj)
+          else begin
+            let st = Lp_trace.Grow.get state obj in
+            if st >= 0 then
+              emit ~rule:"realloc-after-free" ~severity:Error ~event ~obj
+                ~site:(render_chain (Lp_trace.Grow.get alloc_chain obj))
+                (Printf.sprintf
+                   "realloc of object %d after its free at event %d" obj st)
             else begin
-              let st = Lp_trace.Grow.get state obj in
-              (if st >= 0 then
-                 emit ~rule:"double-free" ~severity:Error ~event ~obj
+              (if old_size <> Lp_trace.Grow.get alloc_size obj then
+                 emit ~rule:"realloc-size-regression" ~severity:Error ~event
+                   ~obj
                    ~site:(render_chain (Lp_trace.Grow.get alloc_chain obj))
                    (Printf.sprintf
-                      "object %d freed again (first freed at event %d)" obj st));
-              if size >= 0 && size <> Lp_trace.Grow.get alloc_size obj then
-                emit ~rule:"size-mismatch-at-free" ~severity:Error ~event ~obj
-                  ~site:(render_chain (Lp_trace.Grow.get alloc_chain obj))
-                  (Printf.sprintf
-                     "free declares size %d but object %d was allocated with \
-                      size %d at event %d"
-                     size obj
-                     (Lp_trace.Grow.get alloc_size obj)
-                     (Lp_trace.Grow.get alloc_event obj));
-              if st = live then begin
-                touch obj;
-                Lp_trace.Grow.set state obj event
-              end
+                      "realloc declares old size %d but object %d currently \
+                       has size %d (allocated at event %d)"
+                      old_size obj
+                      (Lp_trace.Grow.get alloc_size obj)
+                      (Lp_trace.Grow.get alloc_event obj)));
+              (* the range's end-state size must be the resized one so the
+                 merge overlay and later ranges agree with the sequential
+                 machine (the carry-in sets snapshot post-realloc sizes) *)
+              touch obj;
+              Lp_trace.Grow.set alloc_size obj new_size
             end
-        | Realloc { obj; old_size; new_size; chain; _ } ->
-            if new_size <= 0 then
-              emit ~rule:"nonpositive-size" ~severity:Error ~event ~obj
-                ~site:(render_chain chain)
-                (Printf.sprintf "realloc of object %d to size %d" obj new_size);
-            if obj < 0 || Lp_trace.Grow.get state obj = unborn then
-              emit ~rule:"realloc-of-unallocated" ~severity:Error ~event ~obj
-                ~site:(render_chain chain)
-                (Printf.sprintf
-                   "realloc of object %d which has not been allocated" obj)
-            else begin
-              let st = Lp_trace.Grow.get state obj in
-              if st >= 0 then
-                emit ~rule:"realloc-after-free" ~severity:Error ~event ~obj
-                  ~site:(render_chain (Lp_trace.Grow.get alloc_chain obj))
-                  (Printf.sprintf
-                     "realloc of object %d after its free at event %d" obj st)
-              else begin
-                (if old_size <> Lp_trace.Grow.get alloc_size obj then
-                   emit ~rule:"realloc-size-regression" ~severity:Error ~event
-                     ~obj
-                     ~site:(render_chain (Lp_trace.Grow.get alloc_chain obj))
-                     (Printf.sprintf
-                        "realloc declares old size %d but object %d currently \
-                         has size %d (allocated at event %d)"
-                        old_size obj
-                        (Lp_trace.Grow.get alloc_size obj)
-                        (Lp_trace.Grow.get alloc_event obj)));
-                (* the range's end-state size must be the resized one so the
-                   merge overlay and later ranges agree with the sequential
-                   machine (the carry-in sets snapshot post-realloc sizes) *)
-                touch obj;
-                Lp_trace.Grow.set alloc_size obj new_size
-              end
-            end
-        | Touch { obj; _ } ->
-            if obj < 0 || Lp_trace.Grow.get state obj = unborn then
+          end
+      | Touch { obj; _ } ->
+          if obj < 0 || Lp_trace.Grow.get state obj = unborn then
+            emit ~rule:"touch-after-free" ~severity:Error ~event ~obj
+              (Printf.sprintf "touch of object %d before its allocation" obj)
+          else
+            let st = Lp_trace.Grow.get state obj in
+            if st >= 0 then
               emit ~rule:"touch-after-free" ~severity:Error ~event ~obj
-                (Printf.sprintf "touch of object %d before its allocation" obj)
-            else
-              let st = Lp_trace.Grow.get state obj in
-              if st >= 0 then
-                emit ~rule:"touch-after-free" ~severity:Error ~event ~obj
-                  ~site:(render_chain (Lp_trace.Grow.get alloc_chain obj))
-                  (Printf.sprintf "touch of object %d after its free at event %d"
-                     obj st));
-        loop ()
-  in
-  loop ();
+                ~site:(render_chain (Lp_trace.Grow.get alloc_chain obj))
+                (Printf.sprintf "touch of object %d after its free at event %d"
+                   obj st))
+    src;
   let objs = Lp_trace.Grow.to_array touched in
   {
     lr_diags = List.rev !out;

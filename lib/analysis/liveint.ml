@@ -54,9 +54,7 @@ type merged = {
 type Absint.token += Summary of summary | Merged of merged
 
 let enter (_src : Lp_trace.Source.t) (_en : Absint.entry) =
-  let interned : (int * int, int) Hashtbl.t = Hashtbl.create 256 in
-  let n_sites = ref 0 in
-  let chains = ref [] and sizes = ref [] in
+  let ids = Lp_trace.Site_intern.create () in
   let net = Lp_trace.Grow.create 256 in
   let relpeak = Lp_trace.Grow.create 256 in
   let peak_event = Lp_trace.Grow.create 256 in
@@ -65,33 +63,28 @@ let enter (_src : Lp_trace.Source.t) (_en : Absint.entry) =
   let alloc_bytes = Lp_trace.Grow.create 256 in
   let gpeak = ref min_int and gpeak_event = ref (-1) in
   let intern chain size =
-    match Hashtbl.find_opt interned (chain, size) with
-    | Some id -> id
-    | None ->
-        let id = !n_sites in
-        incr n_sites;
-        Hashtbl.add interned (chain, size) id;
-        chains := chain :: !chains;
-        sizes := size :: !sizes;
-        Lp_trace.Grow.set net id 0;
-        Lp_trace.Grow.set relpeak id min_int;
-        Lp_trace.Grow.set peak_event id (-1);
-        Lp_trace.Grow.set glive_at_peak id 0;
-        Lp_trace.Grow.set allocs id 0;
-        Lp_trace.Grow.set alloc_bytes id 0;
-        id
+    let n = Lp_trace.Site_intern.length ids in
+    let id = Lp_trace.Site_intern.intern ids chain size in
+    if id = n then begin
+      Lp_trace.Grow.set net id 0;
+      Lp_trace.Grow.set relpeak id min_int;
+      Lp_trace.Grow.set peak_event id (-1);
+      Lp_trace.Grow.set glive_at_peak id 0;
+      Lp_trace.Grow.set allocs id 0;
+      Lp_trace.Grow.set alloc_bytes id 0
+    end;
+    id
+  in
+  let site_delta ~event ~glive_post id delta =
+    let n = Lp_trace.Grow.get net id + delta in
+    Lp_trace.Grow.set net id n;
+    if n > Lp_trace.Grow.get relpeak id then begin
+      Lp_trace.Grow.set relpeak id n;
+      Lp_trace.Grow.set peak_event id event;
+      Lp_trace.Grow.set glive_at_peak id glive_post
+    end
   in
   let step (ctx : Absint.ctx) ev =
-    let site_delta ~event ~glive_post chain size delta =
-      let id = intern chain size in
-      let n = Lp_trace.Grow.get net id + delta in
-      Lp_trace.Grow.set net id n;
-      if n > Lp_trace.Grow.get relpeak id then begin
-        Lp_trace.Grow.set relpeak id n;
-        Lp_trace.Grow.set peak_event id event;
-        Lp_trace.Grow.set glive_at_peak id glive_post
-      end
-    in
     let event = ctx.Absint.cx_event in
     let gdelta =
       match ev with
@@ -109,21 +102,21 @@ let enter (_src : Lp_trace.Source.t) (_en : Absint.entry) =
         Lp_trace.Grow.set allocs id (Lp_trace.Grow.get allocs id + 1);
         Lp_trace.Grow.set alloc_bytes id
           (Lp_trace.Grow.get alloc_bytes id + size);
-        site_delta ~event ~glive_post chain size size
+        site_delta ~event ~glive_post id size
     | Lp_trace.Event.Free { obj; _ } ->
         if ctx.Absint.cx_born obj then
+          let cur = ctx.Absint.cx_cur_size obj in
           site_delta ~event ~glive_post
-            (ctx.Absint.cx_birth_chain obj)
-            (ctx.Absint.cx_cur_size obj)
-            (-ctx.Absint.cx_cur_size obj)
+            (intern (ctx.Absint.cx_birth_chain obj) cur)
+            (-cur)
     | Lp_trace.Event.Realloc { obj; new_size; _ } ->
         if ctx.Absint.cx_born obj then begin
           let chain = ctx.Absint.cx_birth_chain obj in
           let cur = ctx.Absint.cx_cur_size obj in
           (* the object's bytes migrate between its birth chain's size
              buckets: close the old interval, open the new one *)
-          site_delta ~event ~glive_post chain cur (-cur);
-          site_delta ~event ~glive_post chain new_size new_size
+          site_delta ~event ~glive_post (intern chain cur) (-cur);
+          site_delta ~event ~glive_post (intern chain new_size) new_size
         end
     | Lp_trace.Event.Touch _ -> ());
     if glive_post > !gpeak then begin
@@ -132,12 +125,12 @@ let enter (_src : Lp_trace.Source.t) (_en : Absint.entry) =
     end
   in
   let finish () =
-    let n = !n_sites in
+    let n = Lp_trace.Site_intern.length ids in
     let arr g = Array.init n (Lp_trace.Grow.get g) in
     Summary
       {
-        lv_chains = Array.of_list (List.rev !chains);
-        lv_sizes = Array.of_list (List.rev !sizes);
+        lv_chains = Lp_trace.Site_intern.chains ids;
+        lv_sizes = Lp_trace.Site_intern.sizes ids;
         lv_net = arr net;
         lv_relpeak = arr relpeak;
         lv_peak_event = arr peak_event;
@@ -167,34 +160,34 @@ type acc = {
 
 let merge tokens =
   let sums = List.map unpack tokens in
-  let site_ids : (int * int, acc) Hashtbl.t = Hashtbl.create 1024 in
-  let accs_rev = ref [] in
+  let site_ids = Lp_trace.Site_intern.create ~capacity:1024 () in
+  let accs = ref [||] in  (* by site id *)
   let gpeak = ref min_int and gpeak_event = ref (-1) in
   List.iter
     (fun s ->
       Array.iteri
         (fun l chain ->
           let size = s.lv_sizes.(l) in
-          let a =
-            match Hashtbl.find_opt site_ids (chain, size) with
-            | Some a -> a
-            | None ->
-                let a =
-                  {
-                    ac_chain = chain;
-                    ac_size = size;
-                    ac_entry = 0;
-                    ac_peak = min_int;
-                    ac_peak_event = -1;
-                    ac_foreign = 0;
-                    ac_allocs = 0;
-                    ac_alloc_bytes = 0;
-                  }
-                in
-                Hashtbl.add site_ids (chain, size) a;
-                accs_rev := a :: !accs_rev;
-                a
-          in
+          let n = Lp_trace.Site_intern.length site_ids in
+          let id = Lp_trace.Site_intern.intern site_ids chain size in
+          if id = n then begin
+            let a =
+              {
+                ac_chain = chain;
+                ac_size = size;
+                ac_entry = 0;
+                ac_peak = min_int;
+                ac_peak_event = -1;
+                ac_foreign = 0;
+                ac_allocs = 0;
+                ac_alloc_bytes = 0;
+              }
+            in
+            if n = Array.length !accs then
+              accs := Array.append !accs (Array.make (max 64 n) a);
+            !accs.(n) <- a
+          end;
+          let a = !accs.(id) in
           (* the range's relative peak shifted by the site's absolute
              entry level; strict > keeps the earliest attainment, since
              ranges arrive in order *)
@@ -213,7 +206,7 @@ let merge tokens =
         gpeak_event := s.lv_gpeak_event
       end)
     sums;
-  let accs = Array.of_list (List.rev !accs_rev) in
+  let accs = Array.sub !accs 0 (Lp_trace.Site_intern.length site_ids) in
   Merged
     {
       lm_sites =

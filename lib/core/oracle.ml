@@ -275,8 +275,6 @@ let static_snapshot p () =
    of the training trace is exactly the all-short site set {!Train}
    collects — the convergence property the test suite checks. *)
 
-let memo_empty = min_int
-
 type online_state = {
   params : online_params;
   threshold : int;
@@ -284,15 +282,8 @@ type online_state = {
   rounding : int;
   chain_of : int -> Lp_callchain.Chain.t;
   funcs : unit -> Lp_callchain.Func.table;
-  (* (chain, size) -> site id, open addressing, load < 1/2 *)
-  mutable mchains : int array;
-  mutable msizes : int array;
-  mutable mids : int array;
-  mutable mcap : int;
-  mutable mcount : int;
-  (* per-site state, dense ids in first-seen order *)
-  mutable st_chain : int array;
-  mutable st_size : int array;
+  ids : Lp_trace.Site_intern.t;  (* (chain, size) -> site id *)
+  (* per-site state, by site id (first-seen order) *)
   mutable st_key : int array;
   mutable st_obs : int array;  (* outcomes ever recorded *)
   mutable st_wobs : int array;  (* outcomes currently in the window *)
@@ -301,7 +292,6 @@ type online_state = {
   mutable st_promoted : Bytes.t;
   mutable st_ring : Bytes.t array;  (* outcome ring; empty until first use *)
   mutable st_rpos : int array;
-  mutable n_sites : int;
   obj_site : Lp_trace.Grow.t;  (* object -> birth site id, -1 untracked *)
 }
 
@@ -313,13 +303,7 @@ let create_state ~params ~threshold ~(config : Config.t) ~chain_of ~funcs ~hint 
     rounding = config.size_rounding;
     chain_of;
     funcs;
-    mchains = Array.make 4096 memo_empty;
-    msizes = Array.make 4096 0;
-    mids = Array.make 4096 0;
-    mcap = 4096;
-    mcount = 0;
-    st_chain = Array.make 256 0;
-    st_size = Array.make 256 0;
+    ids = Lp_trace.Site_intern.create ~capacity:4096 ();
     st_key = Array.make 256 0;
     st_obs = Array.make 256 0;
     st_wobs = Array.make 256 0;
@@ -328,50 +312,15 @@ let create_state ~params ~threshold ~(config : Config.t) ~chain_of ~funcs ~hint 
     st_promoted = Bytes.make 256 '\000';
     st_ring = Array.make 256 Bytes.empty;
     st_rpos = Array.make 256 0;
-    n_sites = 0;
     obj_site = Lp_trace.Grow.create ~default:(-1) hint;
   }
-
-let slot_for chains sizes mask chain size =
-  let h = ((chain * 0x9E3779B1) lxor (size * 0x85EBCA77)) land mask in
-  let i = ref h in
-  while
-    let c = Array.unsafe_get chains !i in
-    c <> memo_empty && not (c = chain && Array.unsafe_get sizes !i = size)
-  do
-    i := (!i + 1) land mask
-  done;
-  !i
-
-let memo_grow st =
-  let cap' = st.mcap * 2 in
-  let chains' = Array.make cap' memo_empty in
-  let sizes' = Array.make cap' 0 in
-  let ids' = Array.make cap' 0 in
-  let mask' = cap' - 1 in
-  for i = 0 to st.mcap - 1 do
-    let c = Array.unsafe_get st.mchains i in
-    if c <> memo_empty then begin
-      let j = slot_for chains' sizes' mask' c (Array.unsafe_get st.msizes i) in
-      chains'.(j) <- c;
-      sizes'.(j) <- Array.unsafe_get st.msizes i;
-      ids'.(j) <- Array.unsafe_get st.mids i
-    end
-  done;
-  st.mcap <- cap';
-  st.mchains <- chains';
-  st.msizes <- sizes';
-  st.mids <- ids'
 
 let grow_int a n =
   let a' = Array.make (2 * Array.length a) 0 in
   Array.blit a 0 a' 0 n;
   a'
 
-let states_grow st =
-  let n = st.n_sites in
-  st.st_chain <- grow_int st.st_chain n;
-  st.st_size <- grow_int st.st_size n;
+let states_grow st n =
   st.st_key <- grow_int st.st_key n;
   st.st_obs <- grow_int st.st_obs n;
   st.st_wobs <- grow_int st.st_wobs n;
@@ -385,30 +334,15 @@ let states_grow st =
   Array.blit st.st_ring 0 ring' 0 n;
   st.st_ring <- ring'
 
-let new_site st chain size key =
-  if st.n_sites = Array.length st.st_chain then states_grow st;
-  let s = st.n_sites in
-  st.st_chain.(s) <- chain;
-  st.st_size.(s) <- size;
-  st.st_key.(s) <- key;
-  st.n_sites <- s + 1;
+(* a pair seen for the first time gets the next id and fresh state *)
+let site_id st chain size key =
+  let n = Lp_trace.Site_intern.length st.ids in
+  let s = Lp_trace.Site_intern.intern st.ids chain size in
+  if s = n then begin
+    if s = Array.length st.st_key then states_grow st n;
+    st.st_key.(s) <- key
+  end;
   s
-
-let rec site_id st chain size key =
-  let i = slot_for st.mchains st.msizes (st.mcap - 1) chain size in
-  if Array.unsafe_get st.mchains i <> memo_empty then Array.unsafe_get st.mids i
-  else if 2 * (st.mcount + 1) > st.mcap then begin
-    memo_grow st;
-    site_id st chain size key
-  end
-  else begin
-    let s = new_site st chain size key in
-    st.mchains.(i) <- chain;
-    st.msizes.(i) <- size;
-    st.mids.(i) <- s;
-    st.mcount <- st.mcount + 1;
-    s
-  end
 
 let record_outcome st s short =
   st.st_obs.(s) <- st.st_obs.(s) + 1;
@@ -474,8 +408,9 @@ let online_snapshot st () =
   let portable s =
     let site =
       Lp_callchain.Site.make st.policy
-        ~raw_chain:(st.chain_of st.st_chain.(s))
-        ~key:st.st_key.(s) ~size:st.st_size.(s)
+        ~raw_chain:(st.chain_of (Lp_trace.Site_intern.chain st.ids s))
+        ~key:st.st_key.(s)
+        ~size:(Lp_trace.Site_intern.size st.ids s)
     in
     match st.policy with
     | Lp_callchain.Site.Encrypted_key ->
@@ -483,7 +418,7 @@ let online_snapshot st () =
     | _ -> Portable.of_site funcs ~rounding:st.rounding site
   in
   let keys = Portable.Table.create 256 in
-  for s = 0 to st.n_sites - 1 do
+  for s = 0 to Lp_trace.Site_intern.length st.ids - 1 do
     if st.st_obs.(s) > 0 then begin
       let k = portable s in
       if Bytes.get st.st_promoted s = '\001' then begin
@@ -492,7 +427,7 @@ let online_snapshot st () =
       else Portable.Table.remove keys k
     end
   done;
-  for s = 0 to st.n_sites - 1 do
+  for s = 0 to Lp_trace.Site_intern.length st.ids - 1 do
     if st.st_obs.(s) > 0 && Bytes.get st.st_promoted s <> '\001' then
       Portable.Table.remove keys (portable s)
   done;

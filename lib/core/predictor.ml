@@ -98,88 +98,40 @@ let iter_keys t f = Portable.Table.iter (fun k () -> f k) t.keys
    and memoizes, so the simulation driver's per-allocation test is a
    hash-table probe — mirroring the small site hash table of §5.1.
 
-   The memo is a hand-rolled open-addressing table over parallel int
-   arrays rather than a [Hashtbl] keyed by an [(int * int)] tuple: the
-   replay driver calls this once per allocation, and the tuple key plus
-   the [find_opt] option box cost two minor allocations and a polymorphic
-   hash on every probe.  This probe allocates nothing.
+   The memo keys on the shared {!Lp_trace.Site_intern} rather than a
+   [Hashtbl] keyed by an [(int * int)] tuple: the replay driver calls
+   this once per allocation, and the tuple key plus the [find_opt]
+   option box would cost two minor allocations and a polymorphic hash on
+   every probe.  This probe allocates nothing.
 
    The table lives in a [memo] record so a candidate sweep can pool it:
-   resetting (one [Array.fill]) is far cheaper than reallocating and
-   re-zeroing fresh arrays per replay. *)
-
-let memo_empty = min_int
+   resetting (one pass clearing the interner's slots) is far cheaper than
+   reallocating and re-zeroing fresh arrays per replay. *)
 
 type memo = {
-  mutable chains : int array;
-  mutable sizes : int array;
-  mutable verdicts : Bytes.t;
-  mutable cap : int;  (* power of two *)
-  mutable count : int;
+  ids : Lp_trace.Site_intern.t;
+  mutable verdicts : Bytes.t;  (* by site id *)
 }
 
 let create_memo () =
-  {
-    chains = Array.make 4096 memo_empty;
-    sizes = Array.make 4096 0;
-    verdicts = Bytes.make 4096 '\000';
-    cap = 4096;
-    count = 0;
-  }
+  { ids = Lp_trace.Site_intern.create ~capacity:4096 (); verdicts = Bytes.create 256 }
 
-let reset_memo m =
-  (* stale sizes/verdicts are unreachable once every chain slot is empty *)
-  Array.fill m.chains 0 m.cap memo_empty;
-  m.count <- 0
-
-let slot_for chains sizes mask chain size =
-  let h = ((chain * 0x9E3779B1) lxor (size * 0x85EBCA77)) land mask in
-  let i = ref h in
-  while
-    let c = Array.unsafe_get chains !i in
-    c <> memo_empty && not (c = chain && Array.unsafe_get sizes !i = size)
-  do
-    i := (!i + 1) land mask
-  done;
-  !i
-
-let memo_grow m =
-  let cap' = m.cap * 2 in
-  let chains' = Array.make cap' memo_empty in
-  let sizes' = Array.make cap' 0 in
-  let verdicts' = Bytes.make cap' '\000' in
-  let mask' = cap' - 1 in
-  for i = 0 to m.cap - 1 do
-    let c = Array.unsafe_get m.chains i in
-    if c <> memo_empty then begin
-      let j = slot_for chains' sizes' mask' c (Array.unsafe_get m.sizes i) in
-      chains'.(j) <- c;
-      sizes'.(j) <- Array.unsafe_get m.sizes i;
-      Bytes.unsafe_set verdicts' j (Bytes.unsafe_get m.verdicts i)
-    end
-  done;
-  m.cap <- cap';
-  m.chains <- chains';
-  m.sizes <- sizes';
-  m.verdicts <- verdicts'
+(* stale verdicts are unreachable once the interner forgets their ids *)
+let reset_memo m = Lp_trace.Site_intern.clear m.ids
 
 let for_lookup_in m t ~chain_of ~funcs =
   fun ~obj:_ ~size ~chain ~key ->
-    let i = slot_for m.chains m.sizes (m.cap - 1) chain size in
-    if Array.unsafe_get m.chains i <> memo_empty then
-      Bytes.unsafe_get m.verdicts i = '\001'
+    let id = Lp_trace.Site_intern.find m.ids chain size in
+    if id >= 0 then Bytes.unsafe_get m.verdicts id = '\001'
     else begin
       let site =
         Lp_callchain.Site.make t.policy ~raw_chain:(chain_of chain) ~key ~size
       in
       let hit = predicts_site t (funcs ()) site in
-      (* keep the load factor below 1/2 so probe chains stay short *)
-      if 2 * (m.count + 1) > m.cap then memo_grow m;
-      let i = slot_for m.chains m.sizes (m.cap - 1) chain size in
-      m.chains.(i) <- chain;
-      m.sizes.(i) <- size;
-      Bytes.unsafe_set m.verdicts i (if hit then '\001' else '\000');
-      m.count <- m.count + 1;
+      let id = Lp_trace.Site_intern.intern m.ids chain size in
+      if id = Bytes.length m.verdicts then
+        m.verdicts <- Bytes.extend m.verdicts 0 (Bytes.length m.verdicts);
+      Bytes.set m.verdicts id (if hit then '\001' else '\000');
       hit
     end
 

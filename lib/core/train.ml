@@ -73,42 +73,37 @@ let collect_source ?(config = Config.default) (src : Lp_trace.Source.t) :
   let lifetime = Lp_trace.Grow.create hint in
   let survived = Lp_trace.Grow.create ~default:1 hint in
   let clock = ref 0 in
-  let rec loop () =
-    match Lp_trace.Source.next src with
-    | None -> ()
-    | Some ev ->
-        (match ev with
-        | Lp_trace.Event.Alloc { obj; size; chain; key; _ } ->
-            let site =
-              Site.make config.policy
-                ~raw_chain:(src.Lp_trace.Source.chain chain)
-                ~key ~size
-            in
-            let stats =
-              match Site.Table.find_opt table site with
-              | Some s -> s
-              | None ->
-                  let s = Site_stats.create () in
-                  Site.Table.add table site s;
-                  s
-            in
-            push_stats stats;
-            Lp_trace.Grow.push a_obj obj;
-            Lp_trace.Grow.push a_size size;
-            Lp_trace.Grow.set birth obj !clock;
-            clock := !clock + size
-        | Lp_trace.Event.Free { obj; _ } ->
-            Lp_trace.Grow.set lifetime obj
-              (!clock - Lp_trace.Grow.get birth obj);
-            Lp_trace.Grow.set survived obj 0
-        | Lp_trace.Event.Realloc { old_size; new_size; _ } ->
-            (* training observes sites at allocation only; a resize just
-               advances the clock, like the lifetime folds *)
-            clock := !clock + max 0 (new_size - old_size)
-        | Lp_trace.Event.Touch _ -> ());
-        loop ()
-  in
-  loop ();
+  Lp_trace.Source.iter
+    (function
+      | Lp_trace.Event.Alloc { obj; size; chain; key; _ } ->
+          let site =
+            Site.make config.policy
+              ~raw_chain:(src.Lp_trace.Source.chain chain)
+              ~key ~size
+          in
+          let stats =
+            match Site.Table.find_opt table site with
+            | Some s -> s
+            | None ->
+                let s = Site_stats.create () in
+                Site.Table.add table site s;
+                s
+          in
+          push_stats stats;
+          Lp_trace.Grow.push a_obj obj;
+          Lp_trace.Grow.push a_size size;
+          Lp_trace.Grow.set birth obj !clock;
+          clock := !clock + size
+      | Lp_trace.Event.Free { obj; _ } ->
+          Lp_trace.Grow.set lifetime obj
+            (!clock - Lp_trace.Grow.get birth obj);
+          Lp_trace.Grow.set survived obj 0
+      | Lp_trace.Event.Realloc { old_size; new_size; _ } ->
+          (* training observes sites at allocation only; a resize just
+             advances the clock, like the lifetime folds *)
+          clock := !clock + max 0 (new_size - old_size)
+      | Lp_trace.Event.Touch _ -> ())
+    src;
   let end_clock = !clock in
   for i = 0 to !n_allocs - 1 do
     let obj = Lp_trace.Grow.get a_obj i in

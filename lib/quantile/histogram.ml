@@ -6,14 +6,15 @@ type quartiles = {
   max : float;
 }
 
+(* all-float, so the record is stored flat and updating it boxes nothing *)
+type floats = { mutable lo : float; mutable hi : float; mutable sum : float }
+
 type t = {
   q25e : P2.t;
   q50e : P2.t;
   q75e : P2.t;
-  mutable lo : float;
-  mutable hi : float;
+  f : floats;
   mutable total_weight : int;
-  mutable sum : float;
 }
 
 let create () =
@@ -21,32 +22,38 @@ let create () =
     q25e = P2.create 0.25;
     q50e = P2.create 0.50;
     q75e = P2.create 0.75;
-    lo = infinity;
-    hi = neg_infinity;
+    f = { lo = infinity; hi = neg_infinity; sum = 0. };
     total_weight = 0;
-    sum = 0.;
   }
 
+(* the estimators are independent, so each takes its [n] repetitions in
+   one loop *)
 let observe_n t n x =
   for _ = 1 to n do
-    P2.observe t.q25e x;
-    P2.observe t.q50e x;
+    P2.observe t.q25e x
+  done;
+  for _ = 1 to n do
+    P2.observe t.q50e x
+  done;
+  for _ = 1 to n do
     P2.observe t.q75e x
   done
 
 let observe t x =
-  if x < t.lo then t.lo <- x;
-  if x > t.hi then t.hi <- x;
+  let f = t.f in
+  if x < f.lo then f.lo <- x;
+  if x > f.hi then f.hi <- x;
   t.total_weight <- t.total_weight + 1;
-  t.sum <- t.sum +. x;
+  f.sum <- f.sum +. x;
   observe_n t 1 x
 
 let observe_weighted t ~weight x =
   if weight <= 0 then invalid_arg "Histogram.observe_weighted: weight must be positive";
-  if x < t.lo then t.lo <- x;
-  if x > t.hi then t.hi <- x;
+  let f = t.f in
+  if x < f.lo then f.lo <- x;
+  if x > f.hi then f.hi <- x;
   t.total_weight <- t.total_weight + weight;
-  t.sum <- t.sum +. (float_of_int weight *. x);
+  f.sum <- f.sum +. (float_of_int weight *. x);
   (* Feed a logarithmic number of repetitions: enough for the markers to move
      in proportion to the weight without O(weight) cost.  The repetition
      count is 1 + floor(log2 weight), preserving the relative ordering of
@@ -65,16 +72,16 @@ let quartiles t =
      every P² marker does. *)
   let median = P2.quantile t.q50e in
   {
-    min = t.lo;
+    min = t.f.lo;
     q25 = Float.min (P2.quantile t.q25e) median;
     median;
     q75 = Float.max (P2.quantile t.q75e) median;
-    max = t.hi;
+    max = t.f.hi;
   }
 
 let mean t =
   if t.total_weight = 0 then invalid_arg "Histogram.mean: no observations";
-  t.sum /. float_of_int t.total_weight
+  t.f.sum /. float_of_int t.total_weight
 
 let pp_quartiles ppf q =
   Format.fprintf ppf "{min=%.0f; q25=%.0f; median=%.0f; q75=%.0f; max=%.0f}" q.min

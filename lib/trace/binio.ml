@@ -502,17 +502,27 @@ let read_byte c =
    [Sys.int_size] significant bits (9 bytes on a 64-bit platform) and
    rejects — with the offending byte offset — any encoding that would
    overflow the native int instead of silently wrapping. *)
+let rec read_varint_groups c shift acc =
+  if shift >= Sys.int_size then fail c "varint too long";
+  let byte = read_byte c in
+  let group = byte land 0x7f in
+  if shift > Sys.int_size - 7 && group lsr (Sys.int_size - shift) <> 0 then
+    fail c "varint overflows the native int width";
+  let acc = acc lor (group lsl shift) in
+  if byte land 0x80 = 0 then acc else read_varint_groups c (shift + 7) acc
+
+(* most event fields fit one byte: take those without entering the loop *)
 let read_varint_bits c =
-  let rec go shift acc =
-    if shift >= Sys.int_size then fail c "varint too long";
-    let byte = read_byte c in
-    let group = byte land 0x7f in
-    if shift > Sys.int_size - 7 && group lsr (Sys.int_size - shift) <> 0 then
-      fail c "varint overflows the native int width";
-    let acc = acc lor (group lsl shift) in
-    if byte land 0x80 = 0 then acc else go (shift + 7) acc
-  in
-  go 0 0
+  let pos = c.pos in
+  if pos < c.len then begin
+    let byte = Char.code (Bigarray.Array1.unsafe_get c.buf pos) in
+    if byte < 0x80 then begin
+      c.pos <- pos + 1;
+      byte
+    end
+    else read_varint_groups c 0 0
+  end
+  else read_varint_groups c 0 0
 
 let read_varint c =
   let v = read_varint_bits c in
@@ -523,7 +533,8 @@ let read_zigzag c = unzigzag (read_varint_bits c)
 
 let read_string c =
   let len = read_varint c in
-  if c.pos + len > c.len then fail c "truncated string";
+  (* [c.pos + len] would wrap for a forged length near [max_int] *)
+  if len > c.len - c.pos then fail c "truncated string";
   let b = Bytes.create len in
   for i = 0 to len - 1 do
     Bytes.unsafe_set b i (Bigarray.Array1.unsafe_get c.buf (c.pos + i))
@@ -611,6 +622,7 @@ type decoder = {
   mutable cur_end : int;  (* expected byte pos at current chunk's end, -1 none *)
   mutable chunks_left : int;
   mutable in_chunk : int;  (* events left in the current chunk *)
+  mutable budget : int;  (* events it may still yield; max_int = to the end *)
   mutable entered : (int * int) list;  (* (offset, n_events), reversed *)
   mutable prev_alloc : int;
   mutable prev_free : int;
@@ -852,6 +864,7 @@ let decoder ?name (buf : bytes_view) : decoder =
     cur_end = -1;
     chunks_left = n_chunks;
     in_chunk = (if v < version_sharded then hdr.n_events else 0);
+    budget = max_int;
     entered = [];
     prev_alloc = -1;
     prev_free = 0;
@@ -878,62 +891,79 @@ let decoder_tag d id =
 
 let decoder_n_tags d = d.tbl.n_tags
 
+(* The per-event readers are top-level functions over the decoder, so
+   decoding an event builds nothing but the event.  They keep the
+   format's check order: a site is resolved before the object is
+   range-checked, and a failure reports the cursor offset at the check. *)
+let site_def d what id =
+  if id < 0 || id >= d.tbl.n_sites then
+    fail d.c (Printf.sprintf "%s references unknown site %d" what id);
+  Array.unsafe_get d.tbl.site_defs id
+
+let check_obj d what obj =
+  if obj < 0 || obj >= d.hdr.n_objects then
+    fail d.c (Printf.sprintf "%s of out-of-range object %d" what obj)
+
+let alloc_event d obj site =
+  let chain, key, tag = site_def d "alloc" site in
+  check_obj d "alloc" obj;
+  d.prev_alloc <- obj;
+  let size = read_varint d.c in
+  Event.Alloc { obj; size; chain; key; tag }
+
+let free_event d delta size =
+  let obj = d.prev_free + delta in
+  check_obj d "free" obj;
+  d.prev_free <- obj;
+  Event.Free { obj; size }
+
+let touch_event d delta count =
+  let obj = d.prev_touch + delta in
+  check_obj d "touch" obj;
+  d.prev_touch <- obj;
+  Event.Touch { obj; count }
+
+let realloc_event d delta site =
+  let chain, key, tag = site_def d "realloc" site in
+  let obj = d.prev_realloc + delta in
+  check_obj d "realloc" obj;
+  d.prev_realloc <- obj;
+  let old_size = read_varint d.c in
+  let new_size = read_varint d.c in
+  Event.Realloc { obj; old_size; new_size; chain; key; tag }
+
+(* packed opcodes first: they are the common case *)
 let read_event d =
   let c = d.c in
   let alloc_base = alloc_base_of_version d.version in
-  let site what id =
-    if id < 0 || id >= d.tbl.n_sites then
-      fail c (Printf.sprintf "%s references unknown site %d" what id);
-    d.tbl.site_defs.(id)
-  in
-  let check_obj what obj =
-    if obj < 0 || obj >= d.hdr.n_objects then
-      fail c (Printf.sprintf "%s of out-of-range object %d" what obj);
-    obj
-  in
-  let alloc obj (chain, key, tag) =
-    let obj = check_obj "alloc" obj in
-    d.prev_alloc <- obj;
+  let op = read_byte c in
+  if op >= 0x80 then
+    touch_event d (unzigzag ((op lsr 4) land 0x7)) ((op land 0xf) + 1)
+  else if op >= 0x40 then free_event d (unzigzag (op land 0x3f)) (-1)
+  else if op >= alloc_base then alloc_event d (d.prev_alloc + 1) (op - alloc_base)
+  else if op = 0x00 then
+    let site = read_varint c in
+    alloc_event d (d.prev_alloc + 1) site
+  else if op = 0x01 then
+    let obj = read_varint c in
+    let site = read_varint c in
+    alloc_event d obj site
+  else if op = 0x02 then free_event d (read_zigzag c) (-1)
+  else if op = 0x03 then
+    let delta = read_zigzag c in
+    let count = read_varint c in
+    touch_event d delta count
+  (* below [alloc_base] only from version 2 on: 0x05 is the sized free,
+     0x04 the version-3 realloc and reserved before that *)
+  else if op = sized_free_op then
+    let delta = read_zigzag c in
     let size = read_varint c in
-    Event.Alloc { obj; size; chain; key; tag }
-  in
-  let free ?(size = -1) delta =
-    let obj = check_obj "free" (d.prev_free + delta) in
-    d.prev_free <- obj;
-    Event.Free { obj; size }
-  in
-  let touch delta count =
-    let obj = check_obj "touch" (d.prev_touch + delta) in
-    d.prev_touch <- obj;
-    Event.Touch { obj; count }
-  in
-  let realloc delta (chain, key, tag) =
-    let obj = check_obj "realloc" (d.prev_realloc + delta) in
-    d.prev_realloc <- obj;
-    let old_size = read_varint c in
-    let new_size = read_varint c in
-    Event.Realloc { obj; old_size; new_size; chain; key; tag }
-  in
-  match read_byte c with
-  | 0x00 -> alloc (d.prev_alloc + 1) (site "alloc" (read_varint c))
-  | 0x01 ->
-      let obj = read_varint c in
-      alloc obj (site "alloc" (read_varint c))
-  | 0x02 -> free (read_zigzag c)
-  | 0x03 ->
-      let delta = read_zigzag c in
-      touch delta (read_varint c)
-  | op when d.version >= version_sized && op = sized_free_op ->
-      let delta = read_zigzag c in
-      free ~size:(read_varint c) delta
-  | op when d.version >= version_sharded && op = realloc_op ->
-      let delta = read_zigzag c in
-      realloc delta (site "realloc" (read_varint c))
-  | op when d.version >= version_sized && op < alloc_base ->
-      fail c (Printf.sprintf "reserved opcode %#x" op)
-  | op when op < 0x40 -> alloc (d.prev_alloc + 1) (site "alloc" (op - alloc_base))
-  | op when op < 0x80 -> free (unzigzag (op land 0x3f))
-  | op -> touch (unzigzag ((op lsr 4) land 0x7)) ((op land 0xf) + 1)
+    free_event d delta size
+  else if op = realloc_op && d.version >= version_sharded then
+    let delta = read_zigzag c in
+    let site = read_varint c in
+    realloc_event d delta site
+  else fail c (Printf.sprintf "reserved opcode %#x" op)
 
 let reset_deltas d =
   d.prev_alloc <- -1;
@@ -970,11 +1000,14 @@ let check_chunk_end d =
     fail d.c "chunk byte length mismatch";
   d.cur_end <- -1
 
-let rec decode_next d =
-  if d.in_chunk > 0 then begin
-    d.in_chunk <- d.in_chunk - 1;
-    Some (read_event d)
-  end
+(* True when an event can be read: enters the next planned or sequential
+   chunk while the current one is spent.  At the end of the stream (the
+   first time only) it checks the end marker — for v3 the footer — and
+   rejects trailing bytes; a decoder whose budget is spent stops without
+   those checks. *)
+let rec ready d =
+  if d.budget = 0 then false
+  else if d.in_chunk > 0 then true
   else if d.plan_next < Array.length d.plan then begin
     check_chunk_end d;
     let pos, n, end_pos = d.plan.(d.plan_next) in
@@ -983,11 +1016,11 @@ let rec decode_next d =
     d.cur_end <- end_pos;
     d.in_chunk <- n;
     reset_deltas d;
-    decode_next d
+    ready d
   end
   else if d.chunks_left > 0 then begin
     enter_chunk d;
-    decode_next d
+    ready d
   end
   else begin
     if not d.closed then begin
@@ -1000,20 +1033,31 @@ let rec decode_next d =
         if d.c.pos <> d.c.len then fail d.c "trailing bytes after end marker"
       end
     end;
-    None
+    false
   end
+
+let decode_batch d n f =
+  let k = ref 0 in
+  while !k < n && ready d do
+    let m = min (n - !k) (min d.in_chunk d.budget) in
+    for _ = 1 to m do
+      d.in_chunk <- d.in_chunk - 1;
+      d.budget <- d.budget - 1;
+      f (read_event d)
+    done;
+    k := !k + m
+  done;
+  !k
 
 let of_bigarray ?name (buf : bytes_view) : Trace.t =
   let d = decoder ?name buf in
   let h = d.hdr in
   let events = Array.make h.n_events (Event.Free { obj = -1; size = -1 }) in
-  for i = 0 to h.n_events - 1 do
-    match decode_next d with
-    | Some e -> events.(i) <- e
-    | None -> assert false
-  done;
-  (* consumes the end marker and rejects trailing bytes *)
-  (match decode_next d with Some _ -> assert false | None -> ());
+  let n = ref 0 in
+  ignore (decode_batch d h.n_events (fun e -> events.(!n) <- e; incr n));
+  (* one more pull consumes the end marker and rejects trailing bytes *)
+  if decode_batch d 1 ignore > 0 || !n < h.n_events then
+    fail d.c "event count does not match the header";
   {
     Trace.program = h.program;
     input = h.input;
@@ -1121,40 +1165,56 @@ let indexed_tag ix id =
     invalid_arg (Printf.sprintf "Binio.indexed_tag: unknown tag %d" id)
   else ix.ix_tbl.tags.(id)
 
-(* A decoder over the chunk range [first, first+count): tables are the
-   (complete, shared, immutable) index tables; the plan jumps straight
-   from event area to event area. *)
-let range_decoder ix ~first ~count : decoder =
-  let n_chunks = Array.length ix.ix_chunks in
-  if first < 0 || count < 0 || first + count > n_chunks then
+(* A decoder over events [first, first+count).  Its tables are the
+   (complete, shared, immutable) index tables, and its plan jumps
+   straight from event area to event area, from the chunk holding event
+   [first] to the last chunk; it decodes up to [first] (at most one
+   chunk's worth) and then stops after [count] events. *)
+let window_decoder ix ~first ~count =
+  let chunks = ix.ix_chunks in
+  let n_chunks = Array.length chunks in
+  if first < 0 || count < 0 || first + count > ix.ix_hdr.n_events then
     invalid_arg
-      (Printf.sprintf "Binio.range_decoder: bad chunk range %d+%d of %d" first
-         count n_chunks);
+      (Printf.sprintf "Binio.window_decoder: bad event range %d+%d of %d" first
+         count ix.ix_hdr.n_events);
+  (* greatest chunk whose first event is <= first *)
+  let lo = ref 0 and hi = ref (n_chunks - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi + 1) / 2 in
+    if chunks.(mid).ch_first_event <= first then lo := mid else hi := mid - 1
+  done;
+  let lo = !lo in
   let plan =
-    Array.init count (fun i ->
-        ( ix.ix_events_pos.(first + i),
-          ix.ix_chunks.(first + i).ch_n_events,
-          ix.ix_events_end.(first + i) ))
+    Array.init (n_chunks - lo) (fun i ->
+        ( ix.ix_events_pos.(lo + i),
+          chunks.(lo + i).ch_n_events,
+          ix.ix_events_end.(lo + i) ))
   in
-  {
-    c = cursor_of ~name:ix.ix_name ix.ix_buf;
-    version = version_sharded;
-    hdr = ix.ix_hdr;
-    tbl = ix.ix_tbl;
-    chunk_events = ix.ix_chunk_events;
-    n_chunks;
-    plan;
-    plan_next = 0;
-    cur_end = -1;
-    chunks_left = 0;
-    in_chunk = 0;
-    entered = [];
-    prev_alloc = -1;
-    prev_free = 0;
-    prev_touch = 0;
-    prev_realloc = 0;
-    closed = false;
-  }
+  let d =
+    {
+      c = cursor_of ~name:ix.ix_name ix.ix_buf;
+      version = version_sharded;
+      hdr = ix.ix_hdr;
+      tbl = ix.ix_tbl;
+      chunk_events = ix.ix_chunk_events;
+      n_chunks;
+      plan;
+      plan_next = 0;
+      cur_end = -1;
+      chunks_left = 0;
+      in_chunk = 0;
+      budget = max_int;
+      entered = [];
+      prev_alloc = -1;
+      prev_free = 0;
+      prev_touch = 0;
+      prev_realloc = 0;
+      closed = false;
+    }
+  in
+  ignore (decode_batch d (first - chunks.(lo).ch_first_event) ignore);
+  d.budget <- count;
+  d
 
 (* Wire primitives re-exported at string granularity so the property
    suite can round-trip them over the full native int range without

@@ -146,8 +146,8 @@ val big_of_string : string -> bytes_view
 
     The format is streaming-friendly: the execution counters (and, for
     v1/v2, the complete interned tables) precede the event stream, so a
-    {!decoder} exposes the {!header} up front and then yields events one
-    at a time without building the [Trace.t] event array.  The interned
+    {!decoder} exposes the {!header} up front and then hands events to a
+    callback in batches without building the [Trace.t] event array.  The interned
     tables live on the decoder and — in a v3 stream — grow at chunk
     boundaries, honouring the {!Source} interning contract: any id
     carried by an already-yielded event resolves, and the counts are
@@ -174,12 +174,16 @@ val decoder : ?name:string -> bytes_view -> decoder
 
 val header : decoder -> header
 
-val decode_next : decoder -> Event.t option
-(** The next event, or [None] after the last.  The first [None] also
-    checks the end marker (and, for v3, that the footer index agrees
-    with the chunks walked) and rejects trailing bytes, so a fully
-    drained decoder has validated the same properties as a batch decode.
-    @raise Failure on malformed input. *)
+val decode_batch : decoder -> int -> (Event.t -> unit) -> int
+(** [decode_batch d n f] decodes up to [n] events, handing each to [f]
+    in stream order, and returns how many it handed over: fewer than [n]
+    only at the end of the stream.  Reaching the end also checks the end
+    marker (and, for v3, that the footer index agrees with the chunks
+    walked) and rejects trailing bytes, so a fully drained decoder has
+    validated the same properties as a batch decode.  Building the
+    events is the only allocation per event.
+    @raise Failure on malformed input, after handing [f] every event
+    before the fault. *)
 
 val decoder_version : decoder -> int
 
@@ -198,7 +202,7 @@ val decoder_n_tags : decoder -> int
     {!index} locates the footer through its fixed-width tail pointer and
     loads every chunk's table deltas and carry-in set {i without
     decoding any events}.  The resulting value is immutable, so
-    {!range_decoder}s opened over it can run on separate domains sharing
+    {!window_decoder}s opened over it can run on separate domains sharing
     the one buffer and table set — the substrate of sharded replay. *)
 
 type carry = {
@@ -263,9 +267,10 @@ module Wire : sig
   val zigzag_of_string : string -> int
 end
 
-val range_decoder : indexed -> first:int -> count:int -> decoder
-(** A fresh decoder over the chunk range [\[first, first+count)]: yields
-    exactly those chunks' events, with the complete tables visible from
-    the start.  Cheap (no per-range parsing); any number may be open at
-    once, including on different domains.
+val window_decoder : indexed -> first:int -> count:int -> decoder
+(** A fresh decoder over events [\[first, first+count)]: it opens at the
+    chunk holding event [first], decodes up to it (at most one chunk's
+    worth), and stops after [count] events without the end-of-stream
+    checks.  The complete tables are visible from the start; any number
+    may be open at once, including on different domains.
     @raise Invalid_argument on a bad range. *)

@@ -47,6 +47,16 @@ type summary = {
    observation sequence as the materialized path, so the histogram state
    (and its quartiles) is identical.  Memory scales with the allocation
    count, never the event count. *)
+(* the byte-weighted observation of one allocation; one of no positive
+   bytes carries no weight *)
+let weigh hist ~threshold ~short ~total ~size ~survived lifetime =
+  if size > 0 then begin
+    Lp_quantile.Histogram.observe_weighted hist ~weight:size
+      (float_of_int lifetime);
+    total := !total + size;
+    if (not survived) && lifetime < threshold then short := !short + size
+  end
+
 let summary_source ~threshold (src : Source.t) =
   let hint =
     match src.Source.n_objects_hint with Some n -> max 1 n | None -> 1024
@@ -83,9 +93,7 @@ let summary_source ~threshold (src : Source.t) =
     let lt =
       if surv then end_clock - Grow.get birth obj else Grow.get lifetime obj
     in
-    Lp_quantile.Histogram.observe_weighted hist ~weight:size (float_of_int lt);
-    total := !total + size;
-    if (not surv) && lt < threshold then short := !short + size
+    weigh hist ~threshold ~short ~total ~size ~survived:surv lt
   done;
   { hist; short_bytes = !short; total_alloc_bytes = !total }
 
@@ -255,13 +263,8 @@ let merge_summaries ~threshold folds =
     (fun f ->
       Array.iteri
         (fun i obj ->
-          let size = f.rf_a_size.(i) in
-          let surv = resolved_survived r obj in
-          let lt = resolved_lifetime r obj in
-          Lp_quantile.Histogram.observe_weighted hist ~weight:size
-            (float_of_int lt);
-          total := !total + size;
-          if (not surv) && lt < threshold then short := !short + size)
+          weigh hist ~threshold ~short ~total ~size:f.rf_a_size.(i)
+            ~survived:(resolved_survived r obj) (resolved_lifetime r obj))
         f.rf_a_obj)
     folds;
   { hist; short_bytes = !short; total_alloc_bytes = !total }

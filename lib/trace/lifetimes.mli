@@ -33,13 +33,15 @@ type summary = {
   short_bytes : int;  (** bytes in objects short-lived under the threshold *)
   total_alloc_bytes : int;  (** all bytes allocated *)
 }
+(** An allocation of no positive bytes (a corrupt trace's; [lpalloc lint]
+    reports it as [nonpositive-size]) has no weight in a byte-weighted
+    distribution: the summary skips it, so [hist] can be empty. *)
 
 val summary_source : threshold:int -> Source.t -> summary
 (** Streaming twin of {!compute} plus the byte-weighted histogram fold
     the [lpalloc lifetimes] command performs: one bounded-memory pass
     (per-allocation records, never the event array), with the histogram
-    fed in allocation order so its quartiles are identical to the
-    materialized path's.  The source is consumed. *)
+    fed in allocation order.  The source is consumed. *)
 
 (** {1 Sharded replay}
 

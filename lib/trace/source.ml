@@ -18,7 +18,7 @@ type t = {
   counters_now : unit -> counters option;
   refs_of : int -> int;
   n_objects_now : unit -> int;
-  next_ev : unit -> Event.t option;
+  pull : int -> (Event.t -> unit) -> int;
   seek_to : (int -> unit) option;
       (** reposition so the next event yielded is the given index *)
   sub_range : (first:int -> count:int -> t) option;
@@ -26,34 +26,47 @@ type t = {
   mutable finished : bool;
 }
 
-let next t =
-  match t.next_ev () with
-  | Some _ as ev ->
-      t.streamed <- t.streamed + 1;
-      ev
-  | None ->
-      if not t.finished then begin
-        t.finished <- true;
-        Lp_obs.Timings.count "trace.events_streamed" t.streamed;
-        Lp_obs.Timings.note_peak_heap ()
-      end;
-      None
+let finish t =
+  if not t.finished then begin
+    t.finished <- true;
+    Lp_obs.Timings.count "trace.events_streamed" t.streamed;
+    Lp_obs.Timings.note_peak_heap ()
+  end
 
+(* [pull] hands fewer events than asked for only at exhaustion, so one
+   call drains the source *)
 let iter f t =
-  let rec go () =
-    match next t with
-    | Some e ->
-        f e;
-        go ()
-    | None -> ()
-  in
-  go ()
+  let k = t.pull max_int f in
+  t.streamed <- t.streamed + k;
+  finish t
 
 let fold f acc t =
-  let rec go acc =
-    match next t with Some e -> go (f acc e) | None -> acc
-  in
-  go acc
+  let acc = ref acc in
+  iter (fun e -> acc := f !acc e) t;
+  !acc
+
+let next t =
+  let got = ref None in
+  if t.pull 1 (fun e -> got := Some e) = 1 then t.streamed <- t.streamed + 1
+  else finish t;
+  !got
+
+(* the cursor of a producer that makes one event per call *)
+let pull_of_next next n f =
+  let k = ref 0 in
+  while
+    !k < n
+    &&
+    match next () with
+    | Some e ->
+        incr k;
+        f e;
+        true
+    | None -> false
+  do
+    ()
+  done;
+  !k
 
 let events_streamed t = t.streamed
 
@@ -108,14 +121,15 @@ let rec of_trace_range (tr : Trace.t) ~base ~len =
           });
     refs_of = (fun obj -> tr.Trace.obj_refs.(obj));
     n_objects_now = (fun () -> tr.Trace.n_objects);
-    next_ev =
-      (fun () ->
-        if !pos >= len then None
-        else begin
+    pull =
+      (fun n f ->
+        let k = min n (len - !pos) in
+        for _ = 1 to k do
           let e = tr.Trace.events.(base + !pos) in
           incr pos;
-          Some e
-        end);
+          f e
+        done;
+        k);
     seek_to =
       Some
         (fun i ->
@@ -161,7 +175,7 @@ let of_decoder d =
           });
     refs_of = (fun obj -> h.Binio.obj_refs.(obj));
     n_objects_now = (fun () -> h.Binio.n_objects);
-    next_ev = (fun () -> Binio.decode_next d);
+    pull = Binio.decode_batch d;
     seek_to = None;
     sub_range = None;
     streamed = 0;
@@ -171,31 +185,11 @@ let of_decoder d =
 (* -- seekable index over a sharded (v3) buffer --------------------------------- *)
 
 (* The window [base, base+len) of an indexed trace.  Seeking opens a
-   fresh range decoder at the chunk containing the target event and
-   discards into it — at most one chunk's worth of decode per seek. *)
+   fresh window decoder at the target event — at most one chunk's worth
+   of decode per seek. *)
 let rec of_indexed_window (ix : Binio.indexed) ~base ~len =
   let h = Binio.indexed_header ix in
-  let chunks = Binio.indexed_chunks ix in
-  let n_chunks = Array.length chunks in
-  let chunk_of_event i =
-    (* greatest chunk whose first event is <= i *)
-    let lo = ref 0 and hi = ref (n_chunks - 1) in
-    while !lo < !hi do
-      let mid = (!lo + !hi + 1) / 2 in
-      if chunks.(mid).Binio.ch_first_event <= i then lo := mid else hi := mid - 1
-    done;
-    !lo
-  in
-  let open_at i =
-    let c = chunk_of_event i in
-    let d = Binio.range_decoder ix ~first:c ~count:(n_chunks - c) in
-    for _ = 1 to i - chunks.(c).Binio.ch_first_event do
-      ignore (Binio.decode_next d)
-    done;
-    d
-  in
-  let d = ref (open_at base) in
-  let remaining = ref len in
+  let d = ref (Binio.window_decoder ix ~first:base ~count:len) in
   {
     program = h.Binio.program;
     input = h.Binio.input;
@@ -217,22 +211,13 @@ let rec of_indexed_window (ix : Binio.indexed) ~base ~len =
           });
     refs_of = (fun obj -> h.Binio.obj_refs.(obj));
     n_objects_now = (fun () -> h.Binio.n_objects);
-    next_ev =
-      (fun () ->
-        if !remaining <= 0 then None
-        else
-          match Binio.decode_next !d with
-          | Some _ as ev ->
-              decr remaining;
-              ev
-          | None -> None);
+    pull = (fun n f -> Binio.decode_batch !d n f);
     seek_to =
       Some
         (fun i ->
           if i < 0 || i > len then
             invalid_arg (Printf.sprintf "Source.seek: index %d out of range" i);
-          d := open_at (base + i);
-          remaining := len - i);
+          d := Binio.window_decoder ix ~first:(base + i) ~count:(len - i));
     sub_range =
       Some
         (fun ~first ~count ->
@@ -269,7 +254,7 @@ let of_text_stream (s : Textio.stream) =
         Some { instructions; calls; heap_refs; total_refs });
     refs_of = s.Textio.s_refs;
     n_objects_now = s.Textio.s_n_objects;
-    next_ev = s.Textio.s_next;
+    pull = pull_of_next s.Textio.s_next;
     seek_to = None;
     sub_range = None;
     streamed = 0;
@@ -347,16 +332,14 @@ let of_file path =
               close ();
               raise e
           in
-          let inner = src.next_ev in
+          let inner = src.pull in
           {
             src with
-            next_ev =
-              (fun () ->
-                match inner () with
-                | Some _ as ev -> ev
-                | None ->
-                    close ();
-                    None);
+            pull =
+              (fun n f ->
+                let k = inner n f in
+                if k < n then close ();
+                k);
           })
 
 (* -- workload generator -------------------------------------------------------- *)
@@ -445,7 +428,7 @@ let of_generator ~program ~input produce =
           !summary);
     refs_of = (fun obj -> (view ()).Trace.Builder.refs_of obj);
     n_objects_now = (fun () -> (view ()).Trace.Builder.n_objects_so_far ());
-    next_ev;
+    pull = pull_of_next next_ev;
     seek_to = None;
     sub_range = None;
     streamed = 0;
@@ -453,6 +436,8 @@ let of_generator ~program ~input produce =
   }
 
 (* -- decode-ahead pipeline ----------------------------------------------------- *)
+
+let dummy_event = Event.Free { obj = -1; size = -1 }
 
 type ahead_item =
   | Batch of Event.t array
@@ -496,35 +481,23 @@ let decode_ahead ?(batch = 4096) ?(slots = 8) (inner : t) : t =
     Mutex.unlock m;
     item
   in
+  (* each batch is a fresh array: the consumer keeps reading the last
+     one while the producer fills the next *)
   let producer () =
-    let dummy = Event.Free { obj = -1; size = -1 } in
-    let buf = Array.make batch dummy in
-    let n = ref 0 in
-    let flush () =
-      if !n > 0 then begin
-        let arr = Array.sub buf 0 !n in
-        n := 0;
-        push (Batch arr)
-      end
-    in
     let rec go () =
-      match inner.next_ev () with
-      | Some e ->
-          buf.(!n) <- e;
-          incr n;
-          if !n = batch then flush ();
-          go ()
-      | None ->
-          flush ();
-          push Ahead_done
+      let buf = Array.make batch dummy_event in
+      let n = ref 0 in
+      match inner.pull batch (fun e -> buf.(!n) <- e; incr n) with
+      | k ->
+          if k > 0 then push (Batch (if k = batch then buf else Array.sub buf 0 k));
+          if k = batch then go () else push Ahead_done
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          (* events decoded before the failure still precede it in order *)
+          if !n > 0 then push (Batch (Array.sub buf 0 !n));
+          push (Ahead_failed (e, bt))
     in
-    match go () with
-    | () -> ()
-    | exception e ->
-        let bt = Printexc.get_raw_backtrace () in
-        (* events decoded before the failure still precede it in order *)
-        flush ();
-        push (Ahead_failed (e, bt))
+    go ()
   in
   let dom = Domain.spawn producer in
   let joined = ref false in
@@ -537,28 +510,38 @@ let decode_ahead ?(batch = 4096) ?(slots = 8) (inner : t) : t =
   let cur = ref [||] in
   let pos = ref 0 in
   let ended = ref false in
-  let rec next_ev () =
-    if !ended then None
-    else if !pos < Array.length !cur then begin
-      let e = (!cur).(!pos) in
-      incr pos;
-      Some e
-    end
-    else
-      match pop () with
-      | Batch arr ->
-          cur := arr;
-          pos := 0;
-          next_ev ()
-      | Ahead_done ->
-          ended := true;
-          join ();
-          None
-      | Ahead_failed (e, bt) ->
-          ended := true;
-          join ();
-          Printexc.raise_with_backtrace e bt
+  (* false once the producer is done; re-raises its error *)
+  let refill () =
+    match pop () with
+    | Batch arr ->
+        cur := arr;
+        pos := 0;
+        true
+    | Ahead_done ->
+        ended := true;
+        join ();
+        false
+    | Ahead_failed (e, bt) ->
+        ended := true;
+        join ();
+        Printexc.raise_with_backtrace e bt
+  in
+  let pull n f =
+    let k = ref 0 in
+    while
+      !k < n && (not !ended) && (!pos < Array.length !cur || refill ())
+    do
+      let arr = !cur in
+      let m = min (n - !k) (Array.length arr - !pos) in
+      for _ = 1 to m do
+        let e = arr.(!pos) in
+        incr pos;
+        f e
+      done;
+      k := !k + m
+    done;
+    !k
   in
   (* seeking would desynchronize the pipeline, so the wrapper is linear *)
-  { inner with next_ev; seek_to = None; sub_range = None;
+  { inner with pull; seek_to = None; sub_range = None;
     streamed = 0; finished = false }

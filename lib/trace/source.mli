@@ -1,7 +1,8 @@
 (** Pull-based event sources: the streaming face of a trace.
 
-    A source yields the exact event sequence of a trace — one {!Event.t}
-    at a time through {!next} — together with the trace's incrementally
+    A source yields the exact event sequence of a trace — through
+    {!iter}, {!fold} or one {!Event.t} at a time through {!next} —
+    together with the trace's incrementally
     interned tables (call-chains, function names, type tags) and
     per-object reference counts.  Consumers written against a source make
     a single pass with memory bounded by the live-object population
@@ -18,10 +19,21 @@
     in-memory sources and becomes [Some] at exhaustion for generator
     sources.
 
-    Exhaustion is observable: the first [None] from {!next} marks the
-    source {!finished}, adds the event total to the
-    ["trace.events_streamed"] counter and notes the GC's peak heap in
-    ["trace.peak_resident_words"] (see {!Lp_obs.Timings}). *)
+    {b Cursor contract.}  Every constructor supplies one bulk cursor,
+    [pull]: [pull n f] hands up to [n] events to [f] in stream order and
+    returns how many it handed over — fewer than [n] only at exhaustion,
+    and [0] on every call after it.  {!iter}, {!fold} and {!next} are
+    derived from it.  {!iter} is the hot path: one [pull] drains the
+    source with no allocation beyond the events themselves, where
+    {!next} builds an option and a callback per event.  An exception
+    from the producer reaches the consumer after every event before the
+    fault.
+
+    Exhaustion is observable: the end of an {!iter}/{!fold} drain, or
+    the first [None] from {!next}, marks the source {!finished}, adds the
+    event total to the ["trace.events_streamed"] counter and notes the
+    GC's peak heap in ["trace.peak_resident_words"] (see
+    {!Lp_obs.Timings}). *)
 
 type counters = {
   instructions : int;
@@ -45,8 +57,9 @@ type t = {
   counters_now : unit -> counters option;
   refs_of : int -> int;
   n_objects_now : unit -> int;
-  next_ev : unit -> Event.t option;
-      (** raw cursor; consumers should call {!next} instead so streaming
+  pull : int -> (Event.t -> unit) -> int;
+      (** the raw bulk cursor (see the cursor contract above); consumers
+          should call {!iter}, {!fold} or {!next} instead so streaming
           accounting happens *)
   seek_to : (int -> unit) option;
       (** when seekable: reposition so the next event yielded is the
@@ -56,11 +69,14 @@ type t = {
   mutable finished : bool;
 }
 
+val iter : (Event.t -> unit) -> t -> unit
+(** Hand every remaining event to the callback, in order, then mark the
+    source finished. *)
+
+val fold : ('a -> Event.t -> 'a) -> 'a -> t -> 'a
+
 val next : t -> Event.t option
 (** The next event, or [None] at exhaustion (idempotent afterwards). *)
-
-val iter : (Event.t -> unit) -> t -> unit
-val fold : ('a -> Event.t -> 'a) -> 'a -> t -> 'a
 
 val events_streamed : t -> int
 (** Events yielded so far. *)
@@ -127,8 +143,8 @@ val decode_ahead : ?batch:int -> ?slots:int -> t -> t
     preserved; errors raised by the producer re-raise at the consumer
     after all earlier events have been delivered.
 
-    The wrapper is not seekable and must be drained to [None] (or to the
-    re-raised error): abandoning it mid-stream leaves the producer
+    The wrapper is not seekable and must be drained to exhaustion (or to
+    the re-raised error): abandoning it mid-stream leaves the producer
     domain blocked on the queue.  Table lookups ([chain], [tag], ...)
     remain safe because the queue's mutex orders the producer's
     interning writes before the consumer's reads of any delivered

@@ -91,6 +91,344 @@ let rover_inspection_bound () =
   done;
   FF.check_invariants t
 
+(* -- P² against the boxed reference -------------------------------------------- *)
+
+(* The allocation-free P² must do the reference's float operations in the
+   same order: after every observation the estimate, minimum and maximum
+   carry the same bits.  Observations come in runs of repeated values
+   drawn mostly from a handful of small integers (plus signed zeros), so
+   ties at the markers — where the cell search and the
+   parabolic/linear choice are decided by equality — are the common
+   case. *)
+let observations_gen =
+  QCheck.Gen.(
+    let value =
+      frequency
+        [
+          (6, int_range 0 6 >|= float_of_int);
+          (1, oneofl [ 0.; -0.; 1e9; -3.5 ]);
+          (2, float_range (-1000.) 1000.);
+        ]
+    in
+    list_size (int_range 0 60) (pair value (int_range 1 8)) >|= fun runs ->
+    List.concat_map (fun (x, n) -> List.init n (fun _ -> x)) runs)
+
+let bits = Int64.bits_of_float
+
+let same_bits ~at what got expected =
+  if bits got <> bits expected then
+    QCheck.Test.fail_reportf "after observation %d: %s is %h, reference %h" at
+      what got expected
+
+module P2 = Lp_quantile.P2
+
+let p2_matches_reference =
+  QCheck.Test.make ~count:300 ~name:"P2 is bit-identical to the boxed reference"
+    QCheck.(
+      make
+        ~print:Print.(pair float (list float))
+        Gen.(pair (oneofl [ 0.25; 0.5; 0.75; 0.1; 0.9 ]) observations_gen))
+    (fun (p, xs) ->
+      let t = P2.create p and r = P2_reference.create p in
+      List.iteri
+        (fun i x ->
+          P2.observe t x;
+          P2_reference.observe r x;
+          same_bits ~at:i "quantile" (P2.quantile t) (P2_reference.quantile r);
+          same_bits ~at:i "min" (P2.min t) (P2_reference.min r);
+          same_bits ~at:i "max" (P2.max t) (P2_reference.max r))
+        xs;
+      true)
+
+(* the pre-rewrite histogram: the three reference estimators fed in
+   lockstep, [1 + floor (log2 weight)] repetitions per observation *)
+type reference_histogram = {
+  est : P2_reference.t array;
+  mutable lo : float;
+  mutable hi : float;
+}
+
+let reference_observe r ~weight x =
+  if x < r.lo then r.lo <- x;
+  if x > r.hi then r.hi <- x;
+  let rec reps acc w = if w <= 1 then acc else reps (acc + 1) (w lsr 1) in
+  for _ = 1 to reps 1 weight do
+    Array.iter (fun e -> P2_reference.observe e x) r.est
+  done
+
+let reference_quartiles r =
+  let median = P2_reference.quantile r.est.(1) in
+  ( r.lo,
+    Float.min (P2_reference.quantile r.est.(0)) median,
+    median,
+    Float.max (P2_reference.quantile r.est.(2)) median,
+    r.hi )
+
+let histogram_matches_reference =
+  QCheck.Test.make ~count:200
+    ~name:"Histogram.observe_weighted quartiles are bit-identical to the reference"
+    QCheck.(
+      make
+        ~print:Print.(list (pair int float))
+        Gen.(
+          observations_gen >>= fun xs ->
+          flatten_l
+            (List.map (fun x -> int_range 1 5000 >|= fun w -> (w, x)) xs)))
+    (fun obs ->
+      let h = Lp_quantile.Histogram.create () in
+      let r =
+        {
+          est = Array.map P2_reference.create [| 0.25; 0.5; 0.75 |];
+          lo = infinity;
+          hi = neg_infinity;
+        }
+      in
+      List.iteri
+        (fun i (weight, x) ->
+          Lp_quantile.Histogram.observe_weighted h ~weight x;
+          reference_observe r ~weight x;
+          let q = Lp_quantile.Histogram.quartiles h in
+          let lo, q25, median, q75, hi = reference_quartiles r in
+          same_bits ~at:i "min" q.min lo;
+          same_bits ~at:i "q25" q.q25 q25;
+          same_bits ~at:i "median" q.median median;
+          same_bits ~at:i "q75" q.q75 q75;
+          same_bits ~at:i "max" q.max hi)
+        obs;
+      true)
+
+(* -- the Source cursor: iter against next -------------------------------------- *)
+
+module Source = Lp_trace.Source
+module Builder = Lp_trace.Trace.Builder
+
+(* A random program of allocs, frees, touches and (when [realloc])
+   resizes over three call chains.  Sizes and touch counts cross the
+   packed-opcode limits; the live set grows large enough for long object
+   deltas.  With [~sized] every free declares its size (a v2 file);
+   without resizes or declared sizes the writer emits v1. *)
+let ops_gen =
+  QCheck.Gen.(list_size (int_range 0 120) (pair (int_range 0 6) (int_range 0 300)))
+
+let build ?sink ~sized ~realloc ops =
+  let funcs = Lp_callchain.Func.create_table () in
+  let f =
+    Array.init 3 (fun i ->
+        Lp_callchain.Func.intern funcs (Printf.sprintf "f%d" i))
+  in
+  let b = Builder.create ?sink ~program:"cursor" ~input:"qcheck" ~funcs () in
+  let chains = Array.init 3 (fun i -> Builder.intern_chain b (Array.sub f 0 (i + 1))) in
+  let tag = Builder.intern_tag b "t" in
+  let live = ref [] in
+  List.iter
+    (fun (action, n) ->
+      match (action, !live) with
+      | (0 | 1 | 2), _ | _, [] ->
+          let size = n + 1 in
+          let obj =
+            Builder.alloc b ~tag ~size ~chain:chains.(n mod 3) ~key:(n mod 5) ()
+          in
+          live := (obj, size) :: !live
+      | 3, (obj, size) :: rest ->
+          Builder.free ?size:(if sized then Some size else None) b ~obj;
+          live := rest
+      | 4, (obj, _) :: _ -> Builder.touch b ~obj (1 + (n mod 24))
+      | 5, l ->
+          (* free an older object: larger free deltas *)
+          let i = n mod List.length l in
+          let obj, size = List.nth l i in
+          Builder.free ?size:(if sized then Some size else None) b ~obj;
+          live := List.filteri (fun j _ -> j <> i) l
+      | _, (obj, _) :: rest ->
+          if realloc then begin
+            Builder.realloc b ~new_size:(n + 1) ~chain:chains.(n mod 3) ~key:1
+              ~obj ();
+            live := (obj, n + 1) :: rest
+          end
+          else Builder.touch b ~obj 3)
+    ops;
+  Builder.finish b
+
+let drain_iter f src = Source.iter f src
+
+let drain_next f src =
+  let rec go () =
+    match Source.next src with
+    | Some e ->
+        f e;
+        go ()
+    | None -> ()
+  in
+  go ()
+
+(* events, events_streamed and finished after a full drain *)
+let drained drain src =
+  let acc = ref [] in
+  drain (fun e -> acc := e :: !acc) src;
+  (List.rev !acc, Source.events_streamed src, src.Source.finished)
+
+let cursor_constructors ~text_file ops =
+  let plain = build ~sized:false ~realloc:false ops in
+  let sized = build ~sized:true ~realloc:false ops in
+  let resized = build ~sized:false ~realloc:true ops in
+  let v3 = Lp_trace.Binio.to_string_v3 ~chunk_events:7 resized in
+  let indexed () =
+    Source.of_indexed (Lp_trace.Binio.index (Lp_trace.Binio.big_of_string v3))
+  in
+  let n = Array.length resized.Lp_trace.Trace.events in
+  let window = (n / 3, n - (n / 3) - (n / 4)) in
+  let seeked make i () =
+    let s = make () in
+    Source.seek s i;
+    s
+  in
+  let sub make (first, count) () = Source.sub (make ()) ~first ~count in
+  let slice (tr : Lp_trace.Trace.t) first count =
+    Array.to_list (Array.sub tr.Lp_trace.Trace.events first count)
+  in
+  let all tr = slice tr 0 (Array.length tr.Lp_trace.Trace.events) in
+  (* the file-backed text source closes its channel at exhaustion *)
+  Out_channel.with_open_bin text_file (fun oc ->
+      output_string oc (Lp_trace.Textio.to_string sized));
+  [
+    ("of_trace", (fun () -> Source.of_trace resized), all resized);
+    ("of_trace sub", sub (fun () -> Source.of_trace resized) window,
+      slice resized (fst window) (snd window));
+    ( "v1 decoder",
+      (fun () -> Source.of_string (Lp_trace.Binio.to_string plain)),
+      all plain );
+    ( "v2 decoder",
+      (fun () -> Source.of_string (Lp_trace.Binio.to_string sized)),
+      all sized );
+    ("v3 sequential decoder", (fun () -> Source.of_string v3), all resized);
+    ("v3 of_indexed", indexed, all resized);
+    ("v3 of_indexed seek", seeked indexed (n / 2), slice resized (n / 2) (n - (n / 2)));
+    ("v3 of_indexed sub", sub indexed window, slice resized (fst window) (snd window));
+    ("text", (fun () -> Source.of_string (Lp_trace.Textio.to_string sized)), all sized);
+    ("text file", (fun () -> Source.of_file text_file), all sized);
+    ( "of_generator",
+      (fun () ->
+        Source.of_generator ~program:"cursor" ~input:"qcheck" (fun ~sink ->
+            build ~sink ~sized:false ~realloc:true ops)),
+      all resized );
+    ( "decode_ahead",
+      (fun () -> Source.decode_ahead ~batch:5 ~slots:2 (indexed ())),
+      all resized );
+  ]
+
+let cursor_iter_matches_next =
+  QCheck.Test.make ~count:60
+    ~name:"Source.iter and a Source.next loop agree on every constructor"
+    (QCheck.make ops_gen)
+    (fun ops ->
+      let text_file = Filename.temp_file "cursor" ".trace" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove text_file)
+        (fun () ->
+          List.iter
+            (fun (name, make, expected) ->
+              let ev_i, n_i, fin_i = drained drain_iter (make ()) in
+              let ev_n, n_n, fin_n = drained drain_next (make ()) in
+              if ev_i <> expected then
+                QCheck.Test.fail_reportf "%s: iter events differ" name;
+              if ev_n <> expected then
+                QCheck.Test.fail_reportf "%s: next events differ" name;
+              if n_i <> n_n || n_i <> List.length expected then
+                QCheck.Test.fail_reportf
+                  "%s: events_streamed %d (iter) vs %d (next), %d events" name
+                  n_i n_n (List.length expected);
+              if not (fin_i && fin_n) then
+                QCheck.Test.fail_reportf "%s: not finished" name)
+            (cursor_constructors ~text_file ops));
+      true)
+
+(* On a damaged file both drains raise the same error after handing over
+   the same events.  Damage: a truncation or one overwritten byte,
+   anywhere in the file — header damage fails both at construction. *)
+let outcome drain make =
+  let n = ref 0 in
+  match drain (fun _ -> incr n) (make ()) with
+  | () -> (!n, "")
+  | exception Failure msg -> (!n, msg)
+
+let cursor_errors_match =
+  QCheck.Test.make ~count:200
+    ~name:"Source.iter and Source.next fail alike on damaged files"
+    QCheck.(
+      make
+        Gen.(
+          quad ops_gen bool (int_range 0 1_000_000)
+            (pair (int_range 0 255) (oneofl [ `Truncate; `Overwrite ]))))
+    (fun (ops, v3, at, (byte, damage)) ->
+      let tr = build ~sized:(not v3) ~realloc:v3 ops in
+      let s =
+        if v3 then Lp_trace.Binio.to_string_v3 ~chunk_events:7 tr
+        else Lp_trace.Binio.to_string tr
+      in
+      let at = at mod String.length s in
+      let bad =
+        match damage with
+        | `Truncate -> String.sub s 0 at
+        | `Overwrite ->
+            String.mapi (fun i c -> if i = at then Char.chr byte else c) s
+      in
+      let make () = Source.of_string ~name:"bad.lpt" bad in
+      (* header damage fails before a pipeline domain exists *)
+      let piped drain =
+        match make () with
+        | exception Failure msg -> (0, msg)
+        | src ->
+            outcome drain (fun () -> Source.decode_ahead ~batch:3 ~slots:2 src)
+      in
+      let via_iter = outcome drain_iter make in
+      List.iter
+        (fun (what, got) ->
+          if got <> via_iter then
+            QCheck.Test.fail_reportf "%s: %d events then %S; iter: %d then %S" what
+              (fst got) (snd got) (fst via_iter) (snd via_iter))
+        [
+          ("next", outcome drain_next make);
+          ("decode_ahead iter", piped drain_iter);
+          ("decode_ahead next", piped drain_next);
+        ];
+      true)
+
+(* -- allocation pins ----------------------------------------------------------- *)
+
+let minor_words_during f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let rec observe_all t = function
+  | [] -> ()
+  | x :: rest ->
+      P2.observe t x;
+      observe_all t rest
+
+let p2_observe_allocates_nothing () =
+  let xs = List.init 1000 (fun i -> float_of_int ((i * 7919) mod 1013)) in
+  let t = P2.create 0.5 in
+  (* past the five-sample start-up, into the marker-update path *)
+  observe_all t xs;
+  let words = minor_words_during (fun () -> for _ = 1 to 100 do observe_all t xs done) in
+  let per_call = words /. 100_000. in
+  if per_call >= 0.01 then
+    Alcotest.failf "P2.observe allocates %.2f words per call" per_call
+
+let source_iter_allocates_only_events () =
+  let tr = Lp_workloads.Registry.trace ~program:"gawk" ~input:"tiny" () in
+  let ix =
+    Lp_trace.Binio.index
+      (Lp_trace.Binio.big_of_string (Lp_trace.Binio.to_string_v3 tr))
+  in
+  let n = Array.length tr.Lp_trace.Trace.events in
+  let words = minor_words_during (fun () -> Source.iter ignore (Source.of_indexed ix)) in
+  let per_event = words /. float_of_int n in
+  if per_event > 8. then
+    Alcotest.failf "Source.iter over a v3 buffer allocates %.1f words per event"
+      per_event
+
 let suites =
   [
     ( "perf-equivalence",
@@ -106,4 +444,18 @@ let suites =
         Alcotest.test_case "roving search inspects each free block once"
           `Quick rover_inspection_bound;
       ] );
+    ( "perf-streamed-pass",
+      List.map QCheck_alcotest.to_alcotest
+        [
+          p2_matches_reference;
+          histogram_matches_reference;
+          cursor_iter_matches_next;
+          cursor_errors_match;
+        ]
+      @ [
+          Alcotest.test_case "P2.observe allocates nothing" `Quick
+            p2_observe_allocates_nothing;
+          Alcotest.test_case "Source.iter allocates only the events" `Quick
+            source_iter_allocates_only_events;
+        ] );
   ]

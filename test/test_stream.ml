@@ -412,6 +412,72 @@ let grow_basics () =
   Alcotest.(check (array int)) "to_array"
     [| -7; -7; -7; -7; -7; 99; 7 |] (Lp_trace.Grow.to_array g)
 
+(* An allocation of size <= 0 (which stats, convert and lint accept) has
+   no weight in the byte-weighted lifetime summary: the materialized,
+   streamed and sharded folds all skip it instead of dying in
+   [Histogram.observe_weighted], and agree with each other. *)
+let lifetimes_skip_weightless_allocations () =
+  let threshold = 32768 in
+  let summaries text =
+    let trace = Lp_trace.Textio.of_string text in
+    let path = Filename.temp_file "weightless" ".trace" in
+    Out_channel.with_open_bin path (fun oc -> output_string oc text);
+    let streamed =
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Lp_trace.Lifetimes.summary_source ~threshold (Source.of_file path))
+    in
+    [
+      ( "materialized",
+        Lp_trace.Lifetimes.summary_source ~threshold (Source.of_trace trace) );
+      ("streamed", streamed);
+    ]
+    @
+    (* the binary codecs carry sizes unsigned: size 0 only *)
+    if Array.exists
+         (function Lp_trace.Event.Alloc { size; _ } -> size < 0 | _ -> false)
+         trace.events
+    then []
+    else
+      [
+        ( "sharded",
+          Lifetime.Shard.lifetimes ~threshold
+            (Lp_trace.Sharded.of_string
+               (Lp_trace.Binio.to_string_v3 ~chunk_events:1 trace)) );
+      ]
+  in
+  let render (s : Lp_trace.Lifetimes.summary) =
+    ( Lp_quantile.Histogram.count s.hist,
+      (if Lp_quantile.Histogram.count s.hist = 0 then ""
+       else
+         Format.asprintf "%a" Lp_quantile.Histogram.pp_quartiles
+           (Lp_quantile.Histogram.quartiles s.hist)),
+      s.short_bytes,
+      s.total_alloc_bytes )
+  in
+  let check name text expected =
+    List.iter
+      (fun (path, s) ->
+        let weight, quartiles, short, total = render s in
+        Alcotest.(check (pair int string))
+          (name ^ " " ^ path ^ " weight, quartiles")
+          (fst expected, snd expected) (weight, quartiles);
+        Alcotest.(check (pair int int))
+          (name ^ " " ^ path ^ " short, total bytes")
+          (if weight = 0 then (0, 0) else (weight, weight))
+          (short, total))
+      (summaries text)
+  in
+  check "size 0"
+    (In_channel.with_open_bin "corrupt_traces/nonpositive_size.txt"
+       In_channel.input_all)
+    (0, "");
+  check "negative size"
+    "trace t i\nfunc 0 main\nchain 0 0\na 0 -5 0 5 -1 1\na 1 16 0 5 -1 1\n\
+     f 0\nf 1\ncounters 1 1 1 1\nend\n"
+    (16, "{min=16; q25=16; median=16; q75=16; max=16}")
+
 let suites =
   [
     ( "stream",
@@ -425,6 +491,8 @@ let suites =
         Alcotest.test_case "lint streams the corrupt corpus identically" `Quick
           lint_stream_corpus_equivalence;
         Alcotest.test_case "grow array basics" `Quick grow_basics;
+        Alcotest.test_case "lifetimes skip weightless allocations" `Quick
+          lifetimes_skip_weightless_allocations;
       ]
       @ List.map
           (fun program ->

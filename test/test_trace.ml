@@ -232,6 +232,137 @@ let binio_rejects_corruption () =
   expect_failure "bad version" ~substrings:[ "version" ] (fun () ->
       Lp_trace.Binio.of_string (Bytes.to_string bad_version))
 
+(* -- the decoder's error table ------------------------------------------------- *)
+
+(* Hand-built .lpt files, one per failure of the event decoder and of its
+   string reader.  Every row pins the whole message — file name, byte
+   offset and text — through the batch decoder and through a drained
+   streaming source, which share the event reader.  [at k] is byte [k]
+   of the event area. *)
+let wire_varint = Lp_trace.Binio.Wire.varint_to_string
+let wire_zigzag = Lp_trace.Binio.Wire.zigzag_to_string
+let wire_string s = wire_varint (String.length s) ^ s
+let wire_repeat n s = String.concat "" (List.init n (fun _ -> s))
+
+(* v1/v2: one function "main", chain 0 = [main], no tags, [n_sites] sites
+   all on chain 0 (key 0, untagged), zero counters and per-object refs *)
+let v2_events_at ~version ~n_sites ~n_objects ~n_events =
+  String.concat ""
+    [
+      "LPTB";
+      String.make 1 (Char.chr version);
+      wire_string "p";
+      wire_string "i";
+      wire_varint 1;
+      wire_string "main";
+      wire_varint 1;
+      wire_varint 1;
+      wire_varint 0;
+      wire_varint 0;
+      wire_varint n_sites;
+      wire_repeat n_sites (wire_varint 0 ^ wire_zigzag 0 ^ wire_zigzag (-1));
+      wire_varint 0;
+      wire_varint 0;
+      wire_varint 0;
+      wire_varint 0;
+      wire_varint n_objects;
+      wire_repeat n_objects (wire_varint 0);
+      wire_varint n_events;
+    ]
+
+(* v3: the same tables, declared by the single chunk's delta (one site) *)
+let v3_events_at ~n_objects ~n_events =
+  String.concat ""
+    [
+      "LPTB\x03";
+      wire_string "p";
+      wire_string "i";
+      wire_repeat 4 (wire_varint 0);
+      wire_varint n_objects;
+      wire_repeat n_objects (wire_varint 0);
+      wire_varint n_events;
+      wire_varint 16;
+      wire_varint 1;
+      wire_varint 1;
+      wire_string "main";
+      wire_varint 1;
+      wire_varint 1;
+      wire_varint 0;
+      wire_varint 0;
+      wire_varint 1;
+      wire_varint 0 ^ wire_zigzag 0 ^ wire_zigzag (-1);
+      wire_varint 0;
+      wire_varint n_events;
+    ]
+
+let decoder_error_rows () =
+  let v2 ?(version = 2) ?(n_sites = 1) ?(n_objects = 1) ~n_events events =
+    let head = v2_events_at ~version ~n_sites ~n_objects ~n_events in
+    (head ^ events, fun k -> String.length head + k)
+  in
+  let v3 ?(n_objects = 1) ~n_events events =
+    let head = v3_events_at ~n_objects ~n_events in
+    (head ^ events, fun k -> String.length head + k)
+  in
+  let row name (bytes, at) k msg = (name, bytes, at k, msg) in
+  [
+    (* packed alloc: opcode 0x06 + site, so 0x07 names site 1 *)
+    row "packed alloc, unknown site" (v2 ~n_events:1 "\x07") 1
+      "alloc references unknown site 1";
+    row "0x00 alloc, unknown site" (v2 ~n_events:1 "\x00\x03") 2
+      "alloc references unknown site 3";
+    row "0x01 alloc, unknown site" (v2 ~n_events:1 "\x01\x00\x03") 3
+      "alloc references unknown site 3";
+    (* alloc object 0 at site 0 (size 8), then realloc at site 2 *)
+    row "realloc, unknown site" (v3 ~n_events:2 "\x06\x08\x04\x00\x02") 5
+      "realloc references unknown site 2";
+    row "alloc, out-of-range object"
+      (v2 ~n_objects:2 ~n_events:1 "\x01\x05\x00") 3
+      "alloc of out-of-range object 5";
+    (* both wrong: the site is checked first *)
+    row "alloc, unknown site and out-of-range object"
+      (v2 ~n_events:1 "\x01\x05\x03") 3 "alloc references unknown site 3";
+    row "realloc, unknown site and out-of-range object"
+      (v3 ~n_events:2 "\x06\x08\x04\x0a\x02") 5
+      "realloc references unknown site 2";
+    (* packed free 0x40 lor zigzag 3 *)
+    row "free, out-of-range object" (v2 ~n_events:1 "\x46") 1
+      "free of out-of-range object 3";
+    row "touch, out-of-range object" (v2 ~n_events:1 "\x03\x08\x01") 3
+      "touch of out-of-range object 4";
+    row "realloc, out-of-range object"
+      (v3 ~n_events:2 "\x06\x08\x04\x0a\x00") 5
+      "realloc of out-of-range object 5";
+    row "version 1 packs allocs from 0x04"
+      (v2 ~version:1 ~n_events:1 "\x05") 1 "alloc references unknown site 1";
+    row "reserved opcode" (v2 ~n_events:1 "\x04") 1 "reserved opcode 0x4";
+    row "truncated varint" (v2 ~n_events:1 "\x00\x80") 2
+      "unexpected end of input";
+    (let huge = wire_varint (max_int - 2) in
+     row "string length near max_int"
+       ("LPTB\x01" ^ huge, fun k -> k)
+       (5 + String.length huge) "truncated string");
+  ]
+
+let decoder_error_table () =
+  List.iter
+    (fun (name, bytes, offset, msg) ->
+      let expected =
+        Printf.sprintf "Binio.input: bad.lpt: byte %d: %s" offset msg
+      in
+      let check path f =
+        match f () with
+        | () -> Alcotest.failf "%s (%s): decoded without error" name path
+        | exception Failure got ->
+            Alcotest.(check string) (name ^ " (" ^ path ^ ")") expected got
+      in
+      check "Binio.of_string" (fun () ->
+          ignore (Lp_trace.Binio.of_string ~name:"bad.lpt" bytes));
+      check "Source.iter" (fun () ->
+          Lp_trace.Source.iter ignore
+            (Lp_trace.Source.of_string ~name:"bad.lpt" bytes)))
+    (decoder_error_rows ())
+
 (* -- qcheck: random traces round-trip through both codecs ----------------------- *)
 
 let gen_name =
@@ -376,6 +507,7 @@ let suites =
         Alcotest.test_case "textio rejects dangling references" `Quick
           textio_rejects_dangling_refs;
         Alcotest.test_case "binio rejects corruption" `Quick binio_rejects_corruption;
+        Alcotest.test_case "binio decoder error table" `Quick decoder_error_table;
         QCheck_alcotest.to_alcotest text_roundtrip_prop;
         QCheck_alcotest.to_alcotest binio_roundtrip_prop;
         QCheck_alcotest.to_alcotest io_detect_prop;
