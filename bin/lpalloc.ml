@@ -596,10 +596,10 @@ let tune_cmd =
       Printf.eprintf "lpalloc tune: --max-candidates must be positive\n";
       exit 2
     end;
-    (* counters run even without --timings: the outcome embeds the decode
-       and validation counts that prove the decode-once/replay-many
-       contract (both are deterministic, unlike the per-domain pool
-       counters, so they are safe in the golden artifact) *)
+    (* counters run even without --timings: the outcome embeds the decode,
+       validation and training-profile counts that prove the
+       decode-once/replay-many contract (all deterministic, unlike the
+       per-domain pool counters, so they are safe in the golden artifact) *)
     let counters_were_on = Lp_obs.Timings.enabled () in
     Lp_obs.Timings.set_enabled true;
     let train = read_trace train_path in
@@ -615,7 +615,8 @@ let tune_cmd =
     in
     let engine =
       List.filter
-        (fun (k, _) -> k = "trace.decodes" || k = "replay.validations")
+        (fun (k, _) ->
+          k = "trace.decodes" || k = "replay.validations" || k = "train.profiles")
         (Lp_obs.Timings.counters ())
     in
     if not counters_were_on then Lp_obs.Timings.set_enabled false;
@@ -648,8 +649,10 @@ let tune_cmd =
          predictor chain depth 1-8, short-lived threshold) followed by \
          evolutionary refinement of the Pareto front.  Every candidate \
          replays the same prepared test trace — decoded and validated \
-         exactly once — in parallel across OCaml domains; the emitted \
-         $(b,trace.decodes) and $(b,replay.validations) counters prove it.";
+         exactly once — in parallel across OCaml domains, and every \
+         predictor derives its sites from one profile of the train trace; \
+         the emitted $(b,trace.decodes), $(b,replay.validations) and \
+         $(b,train.profiles) counters prove it.";
       `P
         "The report is the Pareto front minimizing (simulated instructions, \
          heap high-water) plus the paper's fixed baselines (first-fit, bsd, \
@@ -732,8 +735,9 @@ let convert_cmd =
     let trace = Lp_trace.Trace.tile trace tile in
     if v3 then begin
       io_guard (fun () ->
-          Out_channel.with_open_bin output (fun oc ->
-              Lp_trace.Binio.output_v3 ~chunk_events oc trace));
+          (* encode first: a trace the layout cannot store leaves no file *)
+          let s = Lp_trace.Binio.to_string_v3 ~name:output ~chunk_events trace in
+          Out_channel.with_open_bin output (fun oc -> output_string oc s));
       let sh = load_sharded output in
       Printf.printf "wrote %d events (%d objects) as %d chunks of %d to %s\n"
         (Array.length trace.events) trace.n_objects

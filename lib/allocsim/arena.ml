@@ -5,6 +5,11 @@ let default_config = { n_arenas = 16; arena_size = 4096 }
 type arena_state = {
   mutable alloc_ptr : int;  (* offset of the next free byte *)
   mutable count : int;  (* live objects *)
+  mutable starts : Bytes.t;
+      (* one byte per arena offset, '\001' where a live object starts:
+         arena objects carry no headers, so this is how a free knows its
+         address is live.  Empty until the arena first bumps, so a replay
+         pays only for the arenas it uses *)
 }
 
 (* The general-purpose fallback, existentially packed: the arena layer is a
@@ -26,12 +31,7 @@ type t = {
   arenas : arena_state array;
   mutable current : int;
   general : general;
-  area_bytes : int;
-  (* arena objects carry no headers, so a free needs only the address to
-     find the owning arena; bump pointers hand out byte-granular addresses,
-     so the map is a direct array over the whole arena area (bounded by
-     n_arenas * arena_size), holding arena index + 1 with 0 = no object *)
-  obj_arena : int array;
+  area_bytes : int;  (* a free below this is an arena's, at addr / arena_size *)
   mutable arena_allocs : int;
   mutable arena_bytes : int;
   mutable arena_resets : int;
@@ -48,12 +48,13 @@ let create ?(config = default_config)
   let (module F) = fallback in
   {
     config;
-    arenas = Array.init config.n_arenas (fun _ -> { alloc_ptr = 0; count = 0 });
+    arenas =
+      Array.init config.n_arenas (fun _ ->
+          { alloc_ptr = 0; count = 0; starts = Bytes.empty });
     current = 0;
     (* the general heap begins above the arena area *)
     general = G ((module F), F.create ~base:area_bytes ?hint ());
     area_bytes;
-    obj_arena = Array.make area_bytes 0;
     arena_allocs = 0;
     arena_bytes = 0;
     arena_resets = 0;
@@ -95,13 +96,16 @@ let find_empty_arena t =
 
 let bump t idx size =
   let a = t.arenas.(idx) in
+  if Bytes.length a.starts = 0 then
+    a.starts <- Bytes.make t.config.arena_size '\000';
+  (* callers check [alloc_ptr + size <= arena_size] with [size > 0] *)
+  Bytes.unsafe_set a.starts a.alloc_ptr '\001';
   let addr = arena_addr t idx a.alloc_ptr in
   a.alloc_ptr <- a.alloc_ptr + size;
   a.count <- a.count + 1;
   t.arena_allocs <- t.arena_allocs + 1;
   t.arena_bytes <- t.arena_bytes + size;
   t.alloc_instr <- t.alloc_instr + Cost_model.arena_bump;
-  Array.unsafe_set t.obj_arena addr (idx + 1);
   addr
 
 let general_alloc t size =
@@ -136,11 +140,13 @@ let free t addr =
   (* the address decides: arena area or general heap (§5.1) *)
   t.free_instr <- t.free_instr + 2;
   if addr < t.area_bytes then begin
-    let v = if addr < 0 then 0 else Array.unsafe_get t.obj_arena addr in
-    if v = 0 then invalid_arg "Arena.free: not an allocated arena address"
+    let idx = if addr < 0 then 0 else addr / t.config.arena_size in
+    let a = t.arenas.(idx) in
+    let off = addr - (idx * t.config.arena_size) in
+    if addr < 0 || Bytes.length a.starts = 0 || Bytes.unsafe_get a.starts off = '\000'
+    then invalid_arg "Arena.free: not an allocated arena address"
     else begin
-      Array.unsafe_set t.obj_arena addr 0;
-      let a = t.arenas.(v - 1) in
+      Bytes.unsafe_set a.starts off '\000';
       a.count <- a.count - 1;
       t.free_instr <- t.free_instr + Cost_model.arena_free - 2
     end
@@ -187,16 +193,22 @@ let check_invariants t =
       if a.alloc_ptr < 0 || a.alloc_ptr > t.config.arena_size then
         failwith (Printf.sprintf "arena %d: alloc_ptr out of range" i))
     t.arenas;
-  let live_per_arena = Array.make t.config.n_arenas 0 in
-  Array.iter
-    (fun v -> if v > 0 then live_per_arena.(v - 1) <- live_per_arena.(v - 1) + 1)
-    t.obj_arena;
   Array.iteri
     (fun i a ->
-      if a.count <> live_per_arena.(i) then
+      let live = ref 0 in
+      Bytes.iteri
+        (fun off c ->
+          if c <> '\000' then begin
+            incr live;
+            if off >= a.alloc_ptr then
+              failwith
+                (Printf.sprintf "arena %d: live object at %d above the bump pointer"
+                   i off)
+          end)
+        a.starts;
+      if a.count <> !live then
         failwith
-          (Printf.sprintf "arena %d: count=%d but %d live objects" i a.count
-             live_per_arena.(i)))
+          (Printf.sprintf "arena %d: count=%d but %d live objects" i a.count !live))
     t.arenas;
   let (G ((module F), g)) = t.general in
   F.check_invariants g

@@ -36,8 +36,13 @@ val create : ?config:config -> ?fallback:Backend.t -> ?hint:int -> unit -> t
 (** [fallback] is the general-purpose backend for unpredicted, oversized
     and overflowing objects; it is instantiated with its base just above
     the arena area.  Defaults to first-fit, the paper's choice.  [hint]
-    (expected object count) is forwarded to the fallback to pre-size its
-    tables; it never affects simulated metrics. *)
+    (expected object count) is forwarded to the fallback, which may use
+    it to pre-size its tables; it never affects simulated metrics.  The
+    arena area itself costs nothing up front: each arena's byte map of
+    live object starts is created when that arena first bump-allocates,
+    so even the largest geometry the registry accepts
+    ([arena:n=4096:chunk=1048576], a 4 GiB area) replays in proportion
+    to the arenas it touches. *)
 
 val alloc : t -> size:int -> predicted:bool -> int
 (** Returns the object's address.  Charges the per-allocation lifetime

@@ -56,11 +56,13 @@ type t = {
   mutable frees : int;
 }
 
-let create ?(base = 0) ?(hint = 1024) ?(sbrk_chunk = 8192) ?(policy = First) () =
-  (* the hint trims early doublings; both tables grow on demand, so cap
-     the upfront allocation *)
-  let blocks = max 64 (min hint 65536) in
-  let store = Array.make (blocks * stride) 0 in
+(* Both tables start small and double on demand ([new_block],
+   [ensure_map]): a replay pays for the blocks and the break it reaches,
+   not for zero-filling tables sized by the trace's object count. *)
+let initial_blocks = 64
+
+let create ?(base = 0) ?hint:_ ?(sbrk_chunk = 8192) ?(policy = First) () =
+  let store = Array.make (initial_blocks * stride) 0 in
   store.(f_addr) <- -1 (* the sentinel never matches a real address *);
   {
     base;
@@ -75,7 +77,7 @@ let create ?(base = 0) ?(hint = 1024) ?(sbrk_chunk = 8192) ?(policy = First) () 
     rover = nil;
     brk = base;
     max_brk = base;
-    by_payload = Array.make (max 64 (min hint 65536)) 0;
+    by_payload = Array.make initial_blocks 0;
     live = 0;
     alloc_instr = 0;
     free_instr = 0;

@@ -18,8 +18,10 @@ type policy =
 
 val create : ?base:int -> ?hint:int -> ?sbrk_chunk:int -> ?policy:policy -> unit -> t
 (** [base] is the address the heap starts at (default 0; the arena
-    allocator puts its arena area below).  [hint] pre-sizes the
-    payload-address map (expected object count; purely a speed knob).
+    allocator puts its arena area below).  [hint] (the expected object
+    count of the {!Backend} contract) is ignored: the block store and the
+    payload-address map start small and grow with the heap, so creating
+    an allocator costs the same for any trace.
     [sbrk_chunk] is the granularity of simulated [sbrk] growth (default
     8192, matching the 8 KB multiples of the paper's Table 8 heap sizes).
     [policy] defaults to {!First}. *)

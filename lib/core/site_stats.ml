@@ -2,9 +2,11 @@
 
     One of these accumulates for every distinct allocation site during
     training: object and byte counts, how many were short-lived, the
-    heap-reference total (for "New Ref" predictions), and a P² quantile
-    histogram of the site's lifetime distribution — the per-site data
-    structure of §4.1. *)
+    heap-reference total (for "New Ref" predictions) and the longest
+    lifetime seen — what the predictor (§4.1) and the model file read.
+    Every field is a sum or a maximum, so a site's statistics do not
+    depend on the order its objects are observed in; training relies on
+    that to fold per-(chain, size) totals into sites ({!add}). *)
 
 type t = {
   mutable count : int;
@@ -14,7 +16,6 @@ type t = {
   mutable survivors : int;  (** objects never freed *)
   mutable max_lifetime : int;
   mutable refs : int;
-  histogram : Lp_quantile.Histogram.t;
 }
 
 let create () =
@@ -26,7 +27,6 @@ let create () =
     survivors = 0;
     max_lifetime = 0;
     refs = 0;
-    histogram = Lp_quantile.Histogram.create ();
   }
 
 let observe t ~size ~lifetime ~survived ~short ~refs =
@@ -38,8 +38,18 @@ let observe t ~size ~lifetime ~survived ~short ~refs =
   end;
   if survived then t.survivors <- t.survivors + 1;
   if lifetime > t.max_lifetime then t.max_lifetime <- lifetime;
-  t.refs <- t.refs + refs;
-  Lp_quantile.Histogram.observe t.histogram (float_of_int lifetime)
+  t.refs <- t.refs + refs
+
+(* [add t s] folds [s]'s objects into [t]: the same statistics as
+   observing them one by one, in any order *)
+let add t s =
+  t.count <- t.count + s.count;
+  t.bytes <- t.bytes + s.bytes;
+  t.short_count <- t.short_count + s.short_count;
+  t.short_bytes <- t.short_bytes + s.short_bytes;
+  t.survivors <- t.survivors + s.survivors;
+  if s.max_lifetime > t.max_lifetime then t.max_lifetime <- s.max_lifetime;
+  t.refs <- t.refs + s.refs
 
 let all_short t = t.count > 0 && t.short_count = t.count
 (** The paper's predictor criterion: {e all} of the site's training

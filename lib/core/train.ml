@@ -1,40 +1,147 @@
 (** Training: fold a trace into a site table.
 
-    For each allocation, derive the site key under the configured policy
-    (complete cycle-eliminated chain + size, length-N sub-chain + size,
-    size only, or encryption key + size) and fold the object's lifetime
-    into that site's statistics. *)
+    Training runs in two steps.  The {e profile} is the per-trace half:
+    one lifetime pass that interns each allocation's raw birth context —
+    (chain id, size), or (encryption key, size) for [Encrypted_key] —
+    with {!Lp_trace.Site_intern}, keeps each interned pair's
+    threshold-free totals (objects, bytes, survivors, longest lifetime,
+    heap references) and, per allocation, its pair and the lifetime the
+    short-lived test compares.  The {e derivation} is the per-config
+    half: it keys each interned pair under the configured policy
+    ({!Site.make} once per pair, not once per allocation), folds the
+    pairs' totals into the site table in first-appearance order and
+    counts the short-lived objects under the configured threshold.
+
+    The table equals what folding every allocation into its site in
+    allocation order builds — entries, statistics and insertion order —
+    because pair ids number pairs in first-appearance order (so sites
+    are inserted in theirs) and every {!Site_stats} field is a sum or a
+    maximum.  A design-space search that trains many (threshold, depth)
+    pairs on one trace profiles it once and derives each table. *)
 
 module Site = Lp_callchain.Site
+module Site_intern = Lp_trace.Site_intern
+module Grow = Lp_trace.Grow
+module Lifetimes = Lp_trace.Lifetimes
+module Timings = Lp_obs.Timings
 
 type site_table = Site_stats.t Site.Table.t
 
-let site_of_alloc (trace : Lp_trace.Trace.t) ~policy ~chain ~key ~size =
-  let raw_chain = Lp_trace.Trace.chain_of_alloc trace chain in
-  Site.make policy ~raw_chain ~key ~size
+(* -- the per-trace profile ------------------------------------------------------- *)
+
+type profile = {
+  by_key : bool;  (* pairs are (key, size), for [Encrypted_key] *)
+  pair_ck : int array;  (* per pair: its chain id, or its key when [by_key] *)
+  pair_size : int array;
+  pair_chain : Lp_callchain.Chain.t array;  (* per pair: raw chain; [||] by key *)
+  pair_totals : Site_stats.t array;  (* per pair; short-lived counts stay 0 *)
+  a_pair : int array;  (* per allocation, in allocation order *)
+  a_life : int array;
+      (* per allocation: its lifetime, or [max_int] for a survivor — the
+         object is short-lived iff this is below the threshold *)
+}
+
+(* Only [Encrypted_key] reads the key; every other policy reads the chain
+   (and [Size_only] neither, so a chain profile serves it too). *)
+let keyed_by_key (policy : Site.policy) =
+  match policy with Site.Encrypted_key -> true | _ -> false
+
+type builder = {
+  b_by_key : bool;
+  b_pairs : Site_intern.t;
+  mutable b_totals : Site_stats.t array;
+  b_pair : Grow.t;
+  b_life : Grow.t;
+}
+
+let builder ~by_key hint =
+  {
+    b_by_key = by_key;
+    b_pairs = Site_intern.create ();
+    b_totals = [||];
+    b_pair = Grow.create hint;
+    b_life = Grow.create hint;
+  }
+
+(* Profile one allocation; called in allocation order.  [ck] is its
+   chain id, or its key when the profile is by key. *)
+let observe b ~ck ~size ~lifetime ~survived ~refs =
+  let pair = Site_intern.intern b.b_pairs ck size in
+  let cap = Array.length b.b_totals in
+  if pair = cap then
+    b.b_totals <-
+      Array.init (max 64 (2 * cap)) (fun i ->
+          if i < cap then b.b_totals.(i) else Site_stats.create ());
+  Site_stats.observe b.b_totals.(pair) ~size ~lifetime ~survived ~short:false
+    ~refs;
+  Grow.push b.b_pair pair;
+  Grow.push b.b_life (if survived then max_int else lifetime)
+
+let finish b ~chain_of =
+  Timings.count "train.profiles" 1;
+  let n = Site_intern.length b.b_pairs in
+  let pair_ck = Site_intern.chains b.b_pairs in
+  {
+    by_key = b.b_by_key;
+    pair_ck;
+    pair_size = Site_intern.sizes b.b_pairs;
+    pair_chain = (if b.b_by_key then [||] else Array.map chain_of pair_ck);
+    pair_totals = Array.sub b.b_totals 0 n;
+    a_pair = Grow.to_array b.b_pair;
+    a_life = Grow.to_array b.b_life;
+  }
+
+let profile ?(policy = Config.default.policy) (trace : Lp_trace.Trace.t) =
+  Timings.time ~stage:"train/profile" (fun () ->
+      let by_key = keyed_by_key policy in
+      let lifetimes = Lifetimes.compute trace in
+      let b = builder ~by_key trace.n_objects in
+      Lp_trace.Trace.iter_allocs trace (fun ~obj ~size ~chain ~key ~tag:_ ->
+          observe b
+            ~ck:(if by_key then key else chain)
+            ~size ~lifetime:lifetimes.lifetime.(obj)
+            ~survived:lifetimes.survived.(obj) ~refs:trace.obj_refs.(obj));
+      finish b ~chain_of:(Lp_trace.Trace.chain_of_alloc trace))
+
+(* -- the per-config derivation --------------------------------------------------- *)
+
+let derive ?(config = Config.default) p : site_table =
+  if keyed_by_key config.policy <> p.by_key then
+    invalid_arg "Train.derive: the profile was interned for another site policy";
+  Timings.time ~stage:"train/derive" (fun () ->
+      Timings.count "train.tables" 1;
+      let n = Array.length p.pair_size in
+      let threshold = config.short_lived_threshold in
+      let short = Array.make n 0 in
+      Array.iteri
+        (fun i pair ->
+          if p.a_life.(i) < threshold then short.(pair) <- short.(pair) + 1)
+        p.a_pair;
+      let table : site_table = Site.Table.create 256 in
+      for pair = 0 to n - 1 do
+        let size = p.pair_size.(pair) in
+        let site =
+          if p.by_key then
+            Site.make config.policy ~raw_chain:[||] ~key:p.pair_ck.(pair) ~size
+          else Site.make config.policy ~raw_chain:p.pair_chain.(pair) ~key:0 ~size
+        in
+        let stats =
+          match Site.Table.find_opt table site with
+          | Some s -> s
+          | None ->
+              let s = Site_stats.create () in
+              Site.Table.add table site s;
+              s
+        in
+        Site_stats.add stats p.pair_totals.(pair);
+        (* all of a pair's objects share its size *)
+        stats.short_count <- stats.short_count + short.(pair);
+        stats.short_bytes <- stats.short_bytes + (short.(pair) * size)
+      done;
+      table)
 
 let collect ?(config = Config.default) (trace : Lp_trace.Trace.t) : site_table =
-  let lifetimes = Lp_trace.Lifetimes.compute trace in
-  let table : site_table = Site.Table.create 256 in
-  Lp_trace.Trace.iter_allocs trace (fun ~obj ~size ~chain ~key ~tag:_ ->
-      let site = site_of_alloc trace ~policy:config.policy ~chain ~key ~size in
-      let stats =
-        match Site.Table.find_opt table site with
-        | Some s -> s
-        | None ->
-            let s = Site_stats.create () in
-            Site.Table.add table site s;
-            s
-      in
-      let lifetime = lifetimes.lifetime.(obj) in
-      let survived = lifetimes.survived.(obj) in
-      let short =
-        Lp_trace.Lifetimes.is_short_lived lifetimes
-          ~threshold:config.short_lived_threshold obj
-      in
-      Site_stats.observe stats ~size ~lifetime ~survived ~short
-        ~refs:trace.obj_refs.(obj));
-  table
+  derive ~config (profile ~policy:config.policy trace)
 
 type streamed = {
   table : site_table;
@@ -44,141 +151,113 @@ type streamed = {
 
 (* Streaming training: one pass over a source, never materializing the
    event array.  Per-object lifetime state and one record per allocation
-   (site-stats pointer, object, size) are retained — memory scales with
-   the allocation count, not the event count — and the deferred
-   observation replays in allocation-event order, so the resulting table
-   (entries, insertion order, per-site statistics) is identical to
-   [collect] on the materialized trace. *)
+   (object, size, chain or key) are retained — memory scales with the
+   allocation count, not the event count — and the profile observes the
+   allocations in allocation-event order once the lifetimes are final,
+   so the table equals [collect] on the materialized trace. *)
 let collect_source ?(config = Config.default) (src : Lp_trace.Source.t) :
     streamed =
-  let table : site_table = Site.Table.create 256 in
-  let dummy = Site_stats.create () in
-  let a_stats = ref (Array.make 1024 dummy) in
-  let n_allocs = ref 0 in
-  let push_stats s =
-    if !n_allocs = Array.length !a_stats then begin
-      let grown = Array.make (2 * !n_allocs) dummy in
-      Array.blit !a_stats 0 grown 0 !n_allocs;
-      a_stats := grown
-    end;
-    !a_stats.(!n_allocs) <- s;
-    incr n_allocs
+  let by_key = keyed_by_key config.policy in
+  let p, end_clock =
+    Timings.time ~stage:"train/profile" (fun () ->
+        let hint =
+          match src.Lp_trace.Source.n_objects_hint with
+          | Some n -> n
+          | None -> 1024
+        in
+        let a_obj = Grow.create 1024 in
+        let a_size = Grow.create 1024 in
+        let a_ck = Grow.create 1024 in
+        let birth = Grow.create hint in
+        let lifetime = Grow.create hint in
+        let survived = Grow.create ~default:1 hint in
+        let clock = ref 0 in
+        Lp_trace.Source.iter
+          (function
+            | Lp_trace.Event.Alloc { obj; size; chain; key; _ } ->
+                Grow.push a_obj obj;
+                Grow.push a_size size;
+                Grow.push a_ck (if by_key then key else chain);
+                Grow.set birth obj !clock;
+                clock := !clock + size
+            | Lp_trace.Event.Free { obj; _ } ->
+                Grow.set lifetime obj (!clock - Grow.get birth obj);
+                Grow.set survived obj 0
+            | Lp_trace.Event.Realloc { old_size; new_size; _ } ->
+                (* training observes sites at allocation only; a resize
+                   just advances the clock, like the lifetime folds *)
+                clock := !clock + max 0 (new_size - old_size)
+            | Lp_trace.Event.Touch _ -> ())
+          src;
+        let end_clock = !clock in
+        let n_allocs = Grow.length a_obj in
+        let b = builder ~by_key n_allocs in
+        for i = 0 to n_allocs - 1 do
+          let obj = Grow.get a_obj i in
+          let surv = Grow.get survived obj = 1 in
+          observe b ~ck:(Grow.get a_ck i) ~size:(Grow.get a_size i)
+            ~lifetime:
+              (if surv then end_clock - Grow.get birth obj
+               else Grow.get lifetime obj)
+            ~survived:surv
+            ~refs:(src.Lp_trace.Source.refs_of obj)
+        done;
+        (finish b ~chain_of:src.Lp_trace.Source.chain, end_clock))
   in
-  let hint =
-    match src.Lp_trace.Source.n_objects_hint with Some n -> n | None -> 1024
-  in
-  let a_obj = Lp_trace.Grow.create 1024 in
-  let a_size = Lp_trace.Grow.create 1024 in
-  let birth = Lp_trace.Grow.create hint in
-  let lifetime = Lp_trace.Grow.create hint in
-  let survived = Lp_trace.Grow.create ~default:1 hint in
-  let clock = ref 0 in
-  Lp_trace.Source.iter
-    (function
-      | Lp_trace.Event.Alloc { obj; size; chain; key; _ } ->
-          let site =
-            Site.make config.policy
-              ~raw_chain:(src.Lp_trace.Source.chain chain)
-              ~key ~size
-          in
-          let stats =
-            match Site.Table.find_opt table site with
-            | Some s -> s
-            | None ->
-                let s = Site_stats.create () in
-                Site.Table.add table site s;
-                s
-          in
-          push_stats stats;
-          Lp_trace.Grow.push a_obj obj;
-          Lp_trace.Grow.push a_size size;
-          Lp_trace.Grow.set birth obj !clock;
-          clock := !clock + size
-      | Lp_trace.Event.Free { obj; _ } ->
-          Lp_trace.Grow.set lifetime obj
-            (!clock - Lp_trace.Grow.get birth obj);
-          Lp_trace.Grow.set survived obj 0
-      | Lp_trace.Event.Realloc { old_size; new_size; _ } ->
-          (* training observes sites at allocation only; a resize just
-             advances the clock, like the lifetime folds *)
-          clock := !clock + max 0 (new_size - old_size)
-      | Lp_trace.Event.Touch _ -> ())
-    src;
-  let end_clock = !clock in
-  for i = 0 to !n_allocs - 1 do
-    let obj = Lp_trace.Grow.get a_obj i in
-    let size = Lp_trace.Grow.get a_size i in
-    let surv = Lp_trace.Grow.get survived obj = 1 in
-    let lt =
-      if surv then end_clock - Lp_trace.Grow.get birth obj
-      else Lp_trace.Grow.get lifetime obj
-    in
-    let short = (not surv) && lt < config.short_lived_threshold in
-    Site_stats.observe !a_stats.(i) ~size ~lifetime:lt ~survived:surv ~short
-      ~refs:(src.Lp_trace.Source.refs_of obj)
-  done;
   {
-    table;
+    table = derive ~config p;
     end_clock;
     n_objects = src.Lp_trace.Source.n_objects_now ();
   }
 
-(* Sharded training: each range derives the site of its allocations —
-   the expensive per-event work, [Site.make] hashes a call chain — inside
-   the parallel section, riding on [Lifetimes.fold_range] for the
-   lifetime state.  The merge builds the table in global allocation
-   order, so entries, insertion order and per-site statistics are
-   identical to [collect_source] over the whole stream. *)
+(* Sharded training: each range records the chain (or key) of its
+   allocations next to [Lifetimes.fold_range]'s lifetime state inside the
+   parallel section.  The merge profiles the allocations in global
+   allocation order, so the table is identical to [collect_source] over
+   the whole stream. *)
 type range_collected = {
-  rc_sites : Site.t array;  (** one per allocation, range event order *)
-  rc_fold : Lp_trace.Lifetimes.range_fold;
+  rc_ck : int array;  (** one per allocation, range event order *)
+  rc_fold : Lifetimes.range_fold;
 }
 
 let collect_range ?(config = Config.default) (rg : Lp_trace.Sharded.range) =
-  let sites = ref [] in
+  let by_key = keyed_by_key config.policy in
+  let ck = Grow.create 1024 in
   let fold =
-    Lp_trace.Lifetimes.fold_range
-      ~on_alloc:(fun src ~size ~chain ~key ->
-        sites :=
-          Site.make config.policy
-            ~raw_chain:(src.Lp_trace.Source.chain chain)
-            ~key ~size
-          :: !sites)
+    Lifetimes.fold_range
+      ~on_alloc:(fun _ ~size:_ ~chain ~key ->
+        Grow.push ck (if by_key then key else chain))
       rg
   in
-  { rc_sites = Array.of_list (List.rev !sites); rc_fold = fold }
+  { rc_ck = Grow.to_array ck; rc_fold = fold }
 
 let merge_ranges ?(config = Config.default) (sh : Lp_trace.Sharded.t) parts :
     streamed =
   let hdr = Lp_trace.Sharded.header sh in
-  let resolved =
-    Lp_trace.Lifetimes.resolve (List.map (fun p -> p.rc_fold) parts)
+  let resolved = Lifetimes.resolve (List.map (fun p -> p.rc_fold) parts) in
+  let p =
+    Timings.time ~stage:"train/profile" (fun () ->
+        let n_allocs =
+          List.fold_left (fun n p -> n + Array.length p.rc_ck) 0 parts
+        in
+        let b = builder ~by_key:(keyed_by_key config.policy) n_allocs in
+        List.iter
+          (fun p ->
+            Array.iteri
+              (fun i ck ->
+                let obj = p.rc_fold.Lifetimes.rf_a_obj.(i) in
+                observe b ~ck ~size:p.rc_fold.Lifetimes.rf_a_size.(i)
+                  ~lifetime:(Lifetimes.resolved_lifetime resolved obj)
+                  ~survived:(Lifetimes.resolved_survived resolved obj)
+                  ~refs:hdr.Lp_trace.Binio.obj_refs.(obj))
+              p.rc_ck)
+          parts;
+        finish b
+          ~chain_of:(Lp_trace.Binio.indexed_chain (Lp_trace.Sharded.index sh)))
   in
-  let table : site_table = Site.Table.create 256 in
-  List.iter
-    (fun p ->
-      Array.iteri
-        (fun i site ->
-          let obj = p.rc_fold.Lp_trace.Lifetimes.rf_a_obj.(i) in
-          let size = p.rc_fold.Lp_trace.Lifetimes.rf_a_size.(i) in
-          let stats =
-            match Site.Table.find_opt table site with
-            | Some s -> s
-            | None ->
-                let s = Site_stats.create () in
-                Site.Table.add table site s;
-                s
-          in
-          let surv = Lp_trace.Lifetimes.resolved_survived resolved obj in
-          let lt = Lp_trace.Lifetimes.resolved_lifetime resolved obj in
-          let short = (not surv) && lt < config.short_lived_threshold in
-          Site_stats.observe stats ~size ~lifetime:lt ~survived:surv ~short
-            ~refs:hdr.Lp_trace.Binio.obj_refs.(obj))
-        p.rc_sites)
-    parts;
   {
-    table;
-    end_clock = Lp_trace.Lifetimes.resolved_end_clock resolved;
+    table = derive ~config p;
+    end_clock = Lifetimes.resolved_end_clock resolved;
     n_objects = hdr.Lp_trace.Binio.n_objects;
   }
 

@@ -109,7 +109,10 @@ let instructions_of (m : Metrics.t) =
   + int_of_float (Float.round (m.Metrics.instr_per_free *. float_of_int m.Metrics.frees))
 
 type ctx = {
-  train : Trace.t;
+  funcs : Lp_callchain.Func.table;  (* the train trace's *)
+  (* the train trace profiled once, on the calling domain; every
+     predictor derives its table from it *)
+  profile : Train.profile;
   test : Trace.t;
   prepared : Driver.prepared;
   (* (threshold, depth) -> trained predictor; filled before each parallel
@@ -127,14 +130,14 @@ let ensure_predictors ctx cands =
   let missing =
     List.filter (fun k -> not (Hashtbl.mem ctx.predictors k)) wanted
   in
-  (* training passes are independent; build the missing predictors on the
-     domain pool (order-preserving, so insertion order is deterministic) *)
+  (* derivations are independent reads of the shared profile; build the
+     missing predictors on the domain pool (order-preserving, so insertion
+     order is deterministic) *)
   let built =
     Parallel.map
       (fun (threshold, depth) ->
         let config = config_for ~threshold ~depth in
-        let table = Train.collect ~config ctx.train in
-        Predictor.build ~config ~funcs:ctx.train.Trace.funcs table)
+        Predictor.build ~config ~funcs:ctx.funcs (Train.derive ~config ctx.profile))
       missing
   in
   List.iter2 (fun k p -> Hashtbl.replace ctx.predictors k p) missing built
@@ -340,7 +343,11 @@ type outcome = {
   baselines : (string * result) list;  (* the paper's fixed points *)
 }
 
-let baselines ctx =
+(* The length-4-priced baselines are grid points, so the search has
+   normally evaluated them already: look them up by key and replay only
+   on a miss (a grid cut short by [max_candidates]) and for the CCE
+   pricing, which the search never uses. *)
+let baselines ctx results =
   let fixed backend = normalize { backend; depth = 0; threshold = default_threshold } in
   let arena_default = fixed default_arena in
   ensure_predictors ctx [ arena_default ];
@@ -349,16 +356,28 @@ let baselines ctx =
     + Cost_model.cce_per_alloc ~calls:ctx.test.Trace.calls
         ~allocs:(Trace.total_objects ctx.test)
   in
+  let evaluated c =
+    let k = key c in
+    match List.find_opt (fun r -> key r.candidate = k) results with
+    | Some r -> r
+    | None -> eval ctx c
+  in
   [
-    ("first-fit", eval ctx (fixed (Freelist { best = false; sbrk = default_sbrk })));
-    ("bsd", eval ctx (fixed Bsd));
-    ("arena-len4", eval ctx arena_default);
+    ("first-fit", evaluated (fixed (Freelist { best = false; sbrk = default_sbrk })));
+    ("bsd", evaluated (fixed Bsd));
+    ("arena-len4", evaluated arena_default);
     ("arena-cce", eval_with_cost ctx arena_default ~predict_cost:cce_cost);
   ]
 
 let search ?(options = default_options) ?(workload = "trace") ~train ~test () =
   let ctx =
-    { train; test; prepared = Driver.prepare test; predictors = Hashtbl.create 16 }
+    {
+      funcs = train.Trace.funcs;
+      profile = Train.profile train;
+      test;
+      prepared = Driver.prepare test;
+      predictors = Hashtbl.create 16;
+    }
   in
   let prng = Prng.create ~seed:(Int64.of_int options.seed) in
   let seen = Hashtbl.create 256 in
@@ -407,7 +426,7 @@ let search ?(options = default_options) ?(workload = "trace") ~train ~test () =
     seed = options.seed;
     results = !results;
     pareto = pareto_front !results;
-    baselines = baselines ctx;
+    baselines = baselines ctx !results;
   }
 
 (* -- rendering ---------------------------------------------------------------------- *)

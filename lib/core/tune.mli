@@ -98,10 +98,12 @@ val search :
   outcome
 (** Run the full search: evaluate the grid, then [generations] rounds of
     mutations of the current Pareto front, deduplicated by {!key}.  The
-    test trace is prepared once; predictors are trained once per distinct
-    (threshold, depth) pair and shared across candidates.  The search
+    test trace is prepared once and the train trace profiled once
+    ({!Train.profile}); each distinct (threshold, depth) pair derives its
+    predictor from that profile, shared across candidates.  The search
     prices prediction at the paper's length-4 cost; the CCE pricing
-    appears in [baselines]. *)
+    appears in [baselines], whose length-4-priced points are the grid's
+    own results (replayed again only when [max_candidates] cut them). *)
 
 val json_of_result : result -> Lp_report.Json.t
 

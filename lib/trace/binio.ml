@@ -154,7 +154,58 @@ let encode_events ~file_version (t : Trace.t) =
     t.events;
   (Array.of_list (List.rev si.si_defs), b)
 
-let to_buffer b (t : Trace.t) =
+(* [.lpt] stores sizes, counts and ids unsigned, so a trace carrying a
+   negative one (a corrupt trace the text format parses) cannot be
+   encoded.  [add_varint] refuses it with a bare [Invalid_argument]; a
+   writer that hits one scans the trace for the culprit and fails saying
+   which file, event, object and field.  Scanning only then keeps the
+   check off the encoding path. *)
+let check_unsigned ~name (t : Trace.t) =
+  let fail where field v =
+    failwith
+      (Printf.sprintf
+         "Binio.output: %s: %s: negative %s %d; .lpt stores it unsigned" name
+         where field v)
+  in
+  List.iter
+    (fun (field, v) -> if v < 0 then fail "header" field v)
+    [
+      ("instructions", t.instructions);
+      ("calls", t.calls);
+      ("heap_refs", t.heap_refs);
+      ("total_refs", t.total_refs);
+    ];
+  Array.iteri
+    (fun obj refs ->
+      if refs < 0 then fail (Printf.sprintf "object %d" obj) "refs" refs)
+    t.obj_refs;
+  let check i obj field v =
+    if v < 0 then fail (Printf.sprintf "event %d: object %d" i obj) field v
+  in
+  Array.iteri
+    (fun i ev ->
+      match ev with
+      | Event.Alloc { obj; size; chain; _ } ->
+          check i obj "object id" obj;
+          check i obj "size" size;
+          check i obj "chain id" chain
+      | Event.Realloc { obj; old_size; new_size; chain; _ } ->
+          check i obj "old size" old_size;
+          check i obj "new size" new_size;
+          check i obj "chain id" chain
+      | Event.Touch { obj; count } -> check i obj "touch count" count
+      | Event.Free _ -> ())
+    t.events
+
+let locating_negatives ~name t encode =
+  try encode ()
+  with Invalid_argument _ as e ->
+    let bt = Printexc.get_raw_backtrace () in
+    check_unsigned ~name t;
+    Printexc.raise_with_backtrace e bt
+
+let to_buffer ?(name = "<trace>") b (t : Trace.t) =
+  locating_negatives ~name t @@ fun () ->
   if Array.exists (function Event.Realloc _ -> true | _ -> false) t.events then
     invalid_arg
       "Binio.output: realloc events require the version-3 writer (to_buffer_v3)";
@@ -201,14 +252,14 @@ let to_buffer b (t : Trace.t) =
   Buffer.add_buffer b events;
   Buffer.add_char b end_marker
 
-let to_string t =
+let to_string ?name t =
   let b = Buffer.create 65536 in
-  to_buffer b t;
+  to_buffer ?name b t;
   Buffer.contents b
 
-let output oc t =
+let output ?name oc t =
   let b = Buffer.create 65536 in
-  to_buffer b t;
+  to_buffer ?name b t;
   Buffer.output_buffer oc b
 
 (* -- version 3: the sharded layout --------------------------------------------- *)
@@ -252,9 +303,11 @@ type carry = {
   cr_freed_at : int;  (** event index of the object's first free, -1 live *)
 }
 
-let to_buffer_v3 ?(chunk_events = default_chunk_events) b (t : Trace.t) =
+let to_buffer_v3 ?(name = "<trace>") ?(chunk_events = default_chunk_events) b
+    (t : Trace.t) =
   if chunk_events < 1 then
     invalid_arg "Binio.to_buffer_v3: chunk_events must be positive";
+  locating_negatives ~name t @@ fun () ->
   let n_events = Array.length t.events in
   let n_chunks = max 1 ((n_events + chunk_events - 1) / chunk_events) in
   let names = Lp_callchain.Func.names t.funcs in
@@ -457,14 +510,14 @@ let to_buffer_v3 ?(chunk_events = default_chunk_events) b (t : Trace.t) =
   add_fixed64 b footer_pos;
   Buffer.add_char b end_marker
 
-let to_string_v3 ?chunk_events t =
+let to_string_v3 ?name ?chunk_events t =
   let b = Buffer.create 65536 in
-  to_buffer_v3 ?chunk_events b t;
+  to_buffer_v3 ?name ?chunk_events b t;
   Buffer.contents b
 
-let output_v3 ?chunk_events oc t =
+let output_v3 ?name ?chunk_events oc t =
   let b = Buffer.create 65536 in
-  to_buffer_v3 ?chunk_events b t;
+  to_buffer_v3 ?name ?chunk_events b t;
   Buffer.output_buffer oc b
 
 (* -- decoding ------------------------------------------------------------------ *)

@@ -107,20 +107,27 @@ val version_sharded : int
 val default_chunk_events : int
 (** Default events per chunk of {!to_string_v3} (2{^18}). *)
 
-val output : out_channel -> Trace.t -> unit
-(** @raise Invalid_argument if the trace contains realloc events, which
+val output : ?name:string -> out_channel -> Trace.t -> unit
+(** [.lpt] stores sizes, object and chain ids, touch counts, per-object
+    reference counts and the execution counters unsigned; a text trace
+    can carry negative ones ([lpalloc lint] reports them).
+    @raise Failure on a negative one, naming [name] (default
+    ["<trace>"], the file being written), the event index, the object
+    and the field — every writer does.
+    @raise Invalid_argument if the trace contains realloc events, which
     only the version-3 writer can express. *)
 
-val to_string : Trace.t -> string
-(** @raise Invalid_argument if the trace contains realloc events. *)
+val to_string : ?name:string -> Trace.t -> string
+(** As {!output}. *)
 
-val output_v3 : ?chunk_events:int -> out_channel -> Trace.t -> unit
+val output_v3 : ?name:string -> ?chunk_events:int -> out_channel -> Trace.t -> unit
 (** Write the sharded (version 3) layout.  [chunk_events] is the events
     per chunk ({!default_chunk_events}); smaller chunks seek finer and
     parallelize shorter traces, larger chunks compress deltas better.
+    @raise Failure on a negative unsigned field, as {!output}.
     @raise Invalid_argument if [chunk_events < 1]. *)
 
-val to_string_v3 : ?chunk_events:int -> Trace.t -> string
+val to_string_v3 : ?name:string -> ?chunk_events:int -> Trace.t -> string
 
 val input : ?name:string -> in_channel -> Trace.t
 (** @raise Failure on malformed input, with [name] (default ["<trace>"])

@@ -84,15 +84,17 @@ let read_file path =
    trace: realloc-bearing traces need the sharded v3 layout (v1/v2 have
    no realloc opcode and their writers refuse), realloc-free traces stay
    byte-identical to older writers. *)
-let to_string_for ~format t =
+let to_string_for ~name ~format t =
   match format with
-  | Binary -> if Trace.has_realloc t then Binio.to_string_v3 t else Binio.to_string t
+  | Binary ->
+      if Trace.has_realloc t then Binio.to_string_v3 ~name t
+      else Binio.to_string ~name t
   | Text -> Textio.to_string t
 
 let write_file ?format path t =
   let format = match format with Some f -> f | None -> format_for_path path in
   let t0 = Lp_obs.Timings.now () in
-  let s = to_string_for ~format t in
+  let s = to_string_for ~name:path ~format t in
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s);
   Lp_obs.Timings.record
     ~stage:("store/" ^ Filename.basename path)

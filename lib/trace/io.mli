@@ -40,7 +40,10 @@ val write_file : ?format:format -> string -> Trace.t -> unit
     format defaults to {!format_for_path}.  [Binary] auto-selects the
     lowest version that can express the trace: realloc-bearing traces
     are written in the sharded v3 layout, realloc-free traces exactly
-    as older writers produced them. *)
+    as older writers produced them.
+    @raise Failure, before the file is opened, when [Binary] and the
+    trace has a negative value in a field [.lpt] stores unsigned (see
+    {!Binio.output}); the message names the file. *)
 
 val output : ?format:format -> out_channel -> Trace.t -> unit
 (** [format] defaults to [Text] (the historical behaviour on stdout);

@@ -368,6 +368,57 @@ let driver_rejects_bad_frees () =
         ~substrings:[ "object 7"; "event 0" ])
     (Lp_allocsim.Registry.names ())
 
+(* -- set-up in proportion to use ------------------------------------------------------ *)
+
+(* Native code counts small minor-heap allocations only approximately,
+   but any table large enough to matter goes straight to the major heap,
+   which is counted exactly. *)
+let allocated_words f =
+  let before = Gc.allocated_bytes () in
+  ignore (Sys.opaque_identity (f ()));
+  int_of_float ((Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8))
+
+(* Creating an allocator costs a constant: no table is pre-sized by the
+   object hint or by the arena area. *)
+let create_allocates_constant () =
+  let small what words =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s allocates %d words" what words)
+      true (words < 2048)
+  in
+  small "First_fit.create ~hint:1_000_000"
+    (allocated_words (fun () -> FF.create ~hint:1_000_000 ()));
+  small "Arena.create ~hint:1_000_000"
+    (allocated_words (fun () -> Arena.create ~hint:1_000_000 ()))
+
+(* The largest geometry the registry accepts is a 4 GiB arena area; a map
+   over the whole area could not be allocated.  Predict everything short
+   so the arenas fill, reset and overflow, then check the structure. *)
+let arena_largest_geometry () =
+  let (module B : Lp_allocsim.Backend.BACKEND) =
+    match Lp_allocsim.Registry.backend_of_spec "arena:n=4096:chunk=1048576" with
+    | Ok b -> b
+    | Error msg -> Alcotest.fail msg
+  in
+  let last = ref None in
+  let module Kept = struct
+    include B
+
+    let create ?base ?hint () =
+      let t = B.create ?base ?hint () in
+      last := Some t;
+      t
+  end in
+  let trace = Lp_workloads.Registry.trace ~scale:1.0 ~program:"perl" ~input:"tiny" () in
+  let m =
+    Lp_allocsim.Driver.run ~predictor:(predictor_const true) trace (module Kept)
+  in
+  Alcotest.(check bool) "objects placed in arenas" true
+    (Lp_allocsim.Metrics.arena_alloc_pct m > 0.);
+  match !last with
+  | Some t -> B.check_invariants t
+  | None -> Alcotest.fail "the backend was never created"
+
 let suites =
   [
     ( "first-fit",
@@ -407,6 +458,12 @@ let suites =
         Alcotest.test_case "pollution overflows" `Quick arena_pollution_overflows;
         Alcotest.test_case "free dispatch" `Quick arena_free_dispatch;
         Alcotest.test_case "heap includes area" `Quick arena_heap_includes_area;
+        Alcotest.test_case "largest geometry replays" `Quick arena_largest_geometry;
+      ] );
+    ( "backend-setup",
+      [
+        Alcotest.test_case "create allocates a constant" `Quick
+          create_allocates_constant;
       ] );
     ( "driver",
       [

@@ -26,6 +26,7 @@ let corpus =
     ("touch_after_free.txt", [ ("touch-after-free", 2) ]);
     ("size_mismatch_at_free.txt", [ ("size-mismatch-at-free", 1) ]);
     ("nonpositive_size.txt", [ ("nonpositive-size", 0) ]);
+    ("negative_size.txt", [ ("nonpositive-size", 0) ]);
     ("realloc_of_unallocated.txt", [ ("realloc-of-unallocated", 1) ]);
     ("realloc_after_free.txt", [ ("realloc-after-free", 2) ]);
     ("realloc_size_regression.txt", [ ("realloc-size-regression", 1) ]);

@@ -303,6 +303,110 @@ let weighted_quantile_ceiling_rank () =
   Alcotest.(check (float 0.)) "q100 is the max" 3. (q 1.0);
   Alcotest.(check (float 0.)) "q0 is the min" 1. (q 0.)
 
+(* -- profile/derive training against the per-allocation reference ----------------- *)
+
+module Site = Lp_callchain.Site
+module Train = Lifetime.Train
+
+(* a table's entries in [Site.Table.fold] order: comparing two of these
+   compares entries, per-site statistics and insertion order at once *)
+let entries (table : Train.site_table) =
+  Site.Table.fold
+    (fun site (stats : Lifetime.Site_stats.t) acc -> (site, stats) :: acc)
+    table []
+
+let policies =
+  Site.Complete_chain :: Site.Size_only :: Site.Encrypted_key
+  :: List.init 8 (fun i -> Site.Last_callers (i + 1))
+
+let thresholds = [ 1; 100; 400; 32768 ]
+
+let training_gen =
+  QCheck.Gen.(
+    triple
+      (oneof [ Test_stream.random_trace_gen; Test_stream.random_realloc_trace_gen ])
+      (int_range 1 12)
+      (list_size (int_range 0 8) (int_range 1 4)))
+
+(* Every trainer — materialized, streamed, sharded over a random covering
+   partition, and derivations sharing one profile the way the tune search
+   shares it — builds the reference's table under every policy and
+   threshold, realloc-bearing traces included. *)
+let training_matches_reference =
+  QCheck.Test.make ~count:40
+    ~name:"profile/derive training equals the per-allocation reference"
+    (QCheck.make training_gen)
+    (fun (trace, chunk_events, cuts) ->
+      let sh =
+        Lp_trace.Sharded.of_string ~name:"train.lpt"
+          (Lp_trace.Binio.to_string_v3 ~chunk_events trace)
+      in
+      let ranges = Test_sharded.partition_of sh cuts in
+      let by_chain = Train.profile trace in
+      let by_key = Train.profile ~policy:Site.Encrypted_key trace in
+      List.iter
+        (fun policy ->
+          List.iter
+            (fun threshold ->
+              let config =
+                {
+                  config with
+                  Lifetime.Config.policy;
+                  short_lived_threshold = threshold;
+                }
+              in
+              let expect = entries (Train_reference.collect ~config trace) in
+              let check path table =
+                if entries table <> expect then
+                  QCheck.Test.fail_reportf
+                    "%s differs from the reference under %s at threshold %d" path
+                    (Site.policy_to_string policy) threshold
+              in
+              check "collect" (Train.collect ~config trace);
+              check "collect_source"
+                (Train.collect_source ~config (Lp_trace.Source.of_trace trace))
+                  .Train.table;
+              check "merge_ranges"
+                (Train.merge_ranges ~config sh
+                   (List.map (Train.collect_range ~config) ranges))
+                  .Train.table;
+              check "derive from a shared profile"
+                (Train.derive ~config
+                   (if policy = Site.Encrypted_key then by_key else by_chain)))
+            thresholds)
+        policies;
+      true)
+
+(* One chain id allocating under two encryption keys (a trace from another
+   tool records the key instead of recomputing it): the key profile must
+   intern on the key, giving two sites, while chain policies see one. *)
+let encrypted_key_splits_a_chain () =
+  let module B = Lp_trace.Trace.Builder in
+  let funcs = Lp_callchain.Func.create_table () in
+  let main = Lp_callchain.Func.intern funcs "main" in
+  let b = B.create ~program:"keys" ~input:"hand" ~funcs () in
+  let chain = B.intern_chain b [| main |] in
+  let o1 = B.alloc b ~size:16 ~chain ~key:7 () in
+  let o2 = B.alloc b ~size:16 ~chain ~key:9 () in
+  B.free b ~obj:o1;
+  B.free b ~obj:o2;
+  let trace = B.finish b in
+  let sites policy =
+    Train.total_sites
+      (Train.collect ~config:{ config with Lifetime.Config.policy } trace)
+  in
+  Alcotest.(check int) "two encrypted-key sites" 2 (sites Site.Encrypted_key);
+  Alcotest.(check int) "one complete-chain site" 1 (sites Site.Complete_chain);
+  Alcotest.(check int) "one size-only site" 1 (sites Site.Size_only);
+  Alcotest.check_raises "a chain profile cannot derive key sites"
+    (Invalid_argument
+       "Train.derive: the profile was interned for another site policy")
+    (fun () ->
+      ignore
+        (Train.derive
+           ~config:{ config with Lifetime.Config.policy = Site.Encrypted_key }
+           (Train.profile trace)))
+
 let suites =
   [
     ( "parallel",
@@ -337,5 +441,8 @@ let suites =
         Alcotest.test_case "cache key covers config" `Quick cache_key_covers_config;
         Alcotest.test_case "weighted quantile ceiling rank" `Quick
           weighted_quantile_ceiling_rank;
+        QCheck_alcotest.to_alcotest training_matches_reference;
+        Alcotest.test_case "encrypted key splits a chain" `Quick
+          encrypted_key_splits_a_chain;
       ] );
   ]

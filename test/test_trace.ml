@@ -440,6 +440,53 @@ let io_detect_prop =
       events_equal t (Lp_trace.Io.of_string (Lp_trace.Textio.to_string t))
       && events_equal t (Lp_trace.Io.of_string (Lp_trace.Binio.to_string t)))
 
+(* -- the encoder's unsigned fields ------------------------------------------------ *)
+
+let negative_size = "corrupt_traces/negative_size.txt"
+
+(* the text format parses a negative size; [.lpt] stores sizes unsigned,
+   so both binary writers refuse the trace with a located message *)
+let binio_rejects_negative_fields () =
+  let trace = Lp_trace.Io.read_file negative_size in
+  let substrings =
+    [ "Binio.output: neg.lpt: event 0: object 0: negative size -5" ]
+  in
+  expect_failure "v1/v2 writer" ~substrings (fun () ->
+      Lp_trace.Binio.to_string ~name:"neg.lpt" trace);
+  expect_failure "v3 writer" ~substrings (fun () ->
+      Lp_trace.Binio.to_string_v3 ~name:"neg.lpt" trace)
+
+(* The same trace through the CLI's exit-code contract: [convert] to
+   [.lpt] is an input error (exit 2) with the located message, not an
+   uncaught exception (exit 125), and writes no file; [stats] still
+   accepts the trace. *)
+let convert_negative_size_exit_code () =
+  let lpalloc = Filename.concat (Filename.concat ".." "bin") "lpalloc.exe" in
+  let out = Filename.temp_file "negative" ".lpt" in
+  let err = Filename.temp_file "negative" ".err" in
+  Sys.remove out;
+  let run args =
+    Sys.command
+      (String.concat " " (List.map Filename.quote (lpalloc :: args))
+      ^ " > " ^ Filename.quote Filename.null ^ " 2> " ^ Filename.quote err)
+  in
+  Alcotest.(check int) "stats accepts it" 0 (run [ "stats"; negative_size ]);
+  List.iter
+    (fun extra ->
+      let code = run ([ "convert"; negative_size; "-o"; out ] @ extra) in
+      let msg = In_channel.with_open_bin err In_channel.input_all in
+      let what = String.concat " " ("convert" :: extra) in
+      Alcotest.(check int) (what ^ " exits 2") 2 code;
+      List.iter
+        (fun part ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s message names %S (got %S)" what part msg)
+            true (Test_stream.contains msg part))
+        [ out; "event 0"; "object 0"; "negative size -5" ];
+      Alcotest.(check bool) (what ^ " writes no file") false (Sys.file_exists out))
+    [ []; [ "--v3" ] ];
+  Sys.remove err
+
 (* -- runtime safety ------------------------------------------------------------ *)
 
 let double_free () =
@@ -508,6 +555,10 @@ let suites =
           textio_rejects_dangling_refs;
         Alcotest.test_case "binio rejects corruption" `Quick binio_rejects_corruption;
         Alcotest.test_case "binio decoder error table" `Quick decoder_error_table;
+        Alcotest.test_case "binio rejects negative unsigned fields" `Quick
+          binio_rejects_negative_fields;
+        Alcotest.test_case "convert of a negative size exits 2" `Quick
+          convert_negative_size_exit_code;
         QCheck_alcotest.to_alcotest text_roundtrip_prop;
         QCheck_alcotest.to_alcotest binio_roundtrip_prop;
         QCheck_alcotest.to_alcotest io_detect_prop;

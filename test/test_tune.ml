@@ -88,12 +88,14 @@ let with_counters f =
 let counter name =
   match List.assoc_opt name (Timings.counters ()) with Some n -> n | None -> 0
 
+(* a physically fresh trace record: the workload registry memoizes
+   traces, and the driver's validation memo keys on physical identity —
+   a cached trace may legitimately already be validated *)
+let fresh (t : Lp_trace.Trace.t) =
+  { t with Lp_trace.Trace.events = Array.copy t.Lp_trace.Trace.events }
+
 let validation_hoisted () =
-  (* a physically fresh trace record: the workload registry memoizes
-     traces, and the driver's validation memo keys on physical identity —
-     a cached trace may legitimately already be validated *)
-  let t0 = tiny "gawk" in
-  let trace = { t0 with Lp_trace.Trace.events = Array.copy t0.events } in
+  let trace = fresh (tiny "gawk") in
   let backend = Registry.backend "first-fit" in
   with_counters (fun () ->
       (* three replays of the same trace — via run, run again, and an
@@ -148,6 +150,58 @@ let decode_once () =
         (counter "trace.decodes");
       Alcotest.(check int) "one validation for the whole sweep" 1
         (counter "replay.validations"))
+
+(* -- training and replay budget of one search ---------------------------------------- *)
+
+let replays () =
+  List.fold_left
+    (fun n (st : Timings.stage) ->
+      if String.starts_with ~prefix:"replay/" st.Timings.name then n + st.calls
+      else n)
+    0 (Timings.stages ())
+
+(* One search profiles the train trace once, derives one table per
+   distinct arena (threshold, depth), validates the test trace once, and
+   replays each candidate once plus the CCE-priced baseline: the other
+   three baselines are grid points it looks up. *)
+let search_budget () =
+  let train = fresh (tiny "perl") and test = fresh (tiny "perl") in
+  with_counters (fun () ->
+      let o = Tune.search ~workload:"perl-tiny" ~train ~test () in
+      let arena_pairs =
+        List.sort_uniq compare
+          (List.filter_map
+             (fun (r : Tune.result) ->
+               if Tune.uses_prediction r.candidate then
+                 Some (r.candidate.threshold, r.candidate.depth)
+               else None)
+             o.Tune.results)
+      in
+      Alcotest.(check int) "one training profile" 1 (counter "train.profiles");
+      Alcotest.(check int) "one table per distinct arena (threshold, depth)"
+        (List.length arena_pairs) (counter "train.tables");
+      Alcotest.(check int) "one validation" 1 (counter "replay.validations");
+      Alcotest.(check int) "one replay per candidate, plus arena-cce"
+        (List.length o.Tune.results + 1)
+        (replays ()))
+
+(* a grid cut short by --max-candidates misses some baselines: those, and
+   only those, are replayed — with the same results a full search reports *)
+let capped_search_replays_missing_baselines () =
+  let train = tiny "perl" and test = tiny "perl" in
+  let full = Tune.search ~workload:"perl-tiny" ~train ~test () in
+  with_counters (fun () ->
+      let options = { Tune.default_options with Tune.max_candidates = 3 } in
+      let o = Tune.search ~options ~workload:"perl-tiny" ~train ~test () in
+      (* the grid opens first-fit, best-fit, bsd: arena-len4 is missing *)
+      Alcotest.(check int) "three candidates" 3 (List.length o.Tune.results);
+      Alcotest.(check int) "arena-len4 and arena-cce replayed on top" 5
+        (replays ());
+      Alcotest.(check string) "baselines equal the full search's"
+        (Lp_report.Json.to_string
+           (Tune.json_of_outcome { full with Tune.pareto = []; results = [] }))
+        (Lp_report.Json.to_string
+           (Tune.json_of_outcome { o with Tune.pareto = []; results = [] })))
 
 (* -- the spec grammar ------------------------------------------------------------- *)
 
@@ -285,6 +339,10 @@ let suites =
         Alcotest.test_case "prepare rejects corrupt traces" `Quick
           prepare_rejects_corrupt;
         Alcotest.test_case "decode once, replay many" `Quick decode_once;
+        Alcotest.test_case "one profile, one table per pair, one replay each"
+          `Quick search_budget;
+        Alcotest.test_case "capped search replays missing baselines" `Quick
+          capped_search_replays_missing_baselines;
         Alcotest.test_case "spec parse errors" `Quick spec_errors;
         Alcotest.test_case "spec canonicalization" `Quick canonicalization;
         Alcotest.test_case "README grammar table" `Quick readme_grammar_table;
