@@ -3,8 +3,11 @@
     the program's allocation events and a list of short-lived sites into a
     simulator of the prediction algorithm").
 
-    There is exactly one replay loop; which allocator runs is a
-    {!Backend.t}, usually obtained from the {!Registry} by name.
+    There is exactly one replay loop, and materialized and streamed
+    replay both run it: it consumes blocks of events that one validator
+    has checked — a prepared trace is a single block, a stream is cut
+    into fixed-size blocks.  Which allocator runs is a {!Backend.t},
+    usually obtained from the {!Registry} by name.
 
     Replay is decode-once/replay-many: {!prepare} validates a trace in a
     single pass and the result can be replayed through any number of
@@ -41,14 +44,15 @@ type prepared
 
 val prepare : Lp_trace.Trace.t -> prepared
 (** Validates the trace for replay in one pure pass: an alloc of an
-    out-of-range or already-live object id, or a free/realloc/touch of a
-    never-allocated, already-freed or out-of-range object, raises
-    [Failure] naming the object id and the event index — the same errors
-    {!run} raises.  Validation happens at most once per trace: results
-    are memoized on physical trace identity (a bounded weak table, safe
-    across domains), and each actual validation pass increments the
-    ["replay.validations"] counter of {!Lp_obs.Timings} and records a
-    ["prepare"] stage when timings are enabled. *)
+    out-of-range or already-live object id, an alloc of size <= 0, a
+    free/realloc/touch of a never-allocated, already-freed or
+    out-of-range object, or a realloc to size <= 0 raises [Failure]
+    naming the object id and the event index — the same errors {!run}
+    and {!run_source} raise.  Validation happens at most once per trace:
+    results are memoized on physical trace identity (a bounded weak
+    table, safe across domains), and each actual validation pass
+    increments the ["replay.validations"] counter of {!Lp_obs.Timings}
+    and records a ["prepare"] stage when timings are enabled. *)
 
 val trace_of_prepared : prepared -> Lp_trace.Trace.t
 (** The underlying trace (shared, not copied). *)
@@ -116,14 +120,16 @@ val run_source :
   Metrics.t
 (** Single-pass streaming replay: pulls each event from the source once
     and never materializes the trace, so peak memory is bounded by the
-    live-object population.  Metrics are byte-identical to [run] on the
-    equivalent materialized trace (enforced by the equivalence test
-    suite).  Validation stays inline (a stream has no second pass) and is
-    the same except that out-of-range object ids above the final object
-    count cannot be detected mid-stream (the count is only known at
-    exhaustion); such events surface as never-allocated frees or pass
-    through as touches.  The source is consumed; a fresh source is
-    needed per replay.
+    live-object population.  The events are validated and replayed block
+    by block, through the validator and the replay loop of {!prepare}
+    and {!run_prepared}, so metrics are byte-identical to [run] on the
+    equivalent materialized trace, and so are the errors, except that
+    out-of-range object ids above the final object count cannot be
+    detected mid-stream (the count is only known at exhaustion); such
+    events surface as never-allocated frees or pass through as touches.
+    An error is raised once the block holding the bad event has been
+    read, before any of that block replays.  The source is consumed; a
+    fresh source is needed per replay.
 
     [decode_ahead] (default false) pipelines the replay: decoding moves
     to a second domain running ahead of the simulation through

@@ -68,44 +68,54 @@ let resolve_spec ~arena_config name =
       in
       (backend, display)
 
+(* The allocator -> job expansion of [run] and [run_streamed].  [wrap]
+   interposes on every backend — the sanitizer's hook; a well-behaved
+   wrapper keeps the name and delegates the metrics.  A predicting backend
+   expands into two pricings of the same allocator, the length-4 chain
+   cost under its own name and [cce] under ["<name>-cce"].  [job backend
+   predict_cost] builds one replay job, with [None] for a backend that
+   ignores prediction; the oracle instance must be built inside the job,
+   so each replay owns private lookup (and any online) state. *)
+let build_jobs ~allocators ~wrap ~config ~cce job =
+  let arena_config = Config.arena_config config in
+  List.concat_map
+    (fun name ->
+      let backend, display = resolve_spec ~arena_config name in
+      let backend = wrap backend in
+      if Lp_allocsim.Backend.uses_prediction backend then
+        [
+          (display, job backend (Some Lp_allocsim.Cost_model.predict_len4));
+          (display ^ "-cce", job backend (Some cce));
+        ]
+      else [ (display, job backend None) ])
+    allocators
+
+let results jobs metrics =
+  { results = List.map2 (fun (name, _) m -> (name, m)) jobs metrics }
+
 let run ?(allocators = default_allocators) ?(wrap = fun b -> b)
     ~(config : Config.t) ~(oracle : Oracle.t) ~(test : Lp_trace.Trace.t) () : t
     =
-  let arena_config = Config.arena_config config in
   (* decode-once/replay-many: validate and memoize the trace a single
      time; every job below replays the prepared trace with pooled
      per-domain scratch *)
   let prepared = Lp_allocsim.Driver.prepare test in
   let jobs =
-    List.concat_map
-      (fun name ->
-        (* [wrap] interposes on every backend — the sanitizer's hook; a
-           well-behaved wrapper keeps the name and delegates the metrics *)
-        let backend, display = resolve_spec ~arena_config name in
-        let backend = wrap backend in
-        if Lp_allocsim.Backend.uses_prediction backend then
-          (* two pricings of the same predicting allocator; the oracle
-             instance is built inside each job — a static oracle resets
-             its domain's pooled memo instead of allocating one, an
-             online oracle gets fresh per-replay learning state *)
-          let with_cost predict_cost () =
-            let inst =
-              Oracle.instance_for_trace ~pooled:true oracle ~predict_cost test
-            in
-            Lp_allocsim.Driver.run_prepared
-              ~predictor:(Oracle.driver_predictor inst)
-              prepared backend
-          in
-          [
-            (display, with_cost Lp_allocsim.Cost_model.predict_len4);
-            (display ^ "-cce", with_cost (cce_cost test));
-          ]
-        else
-          [ (display, fun () -> Lp_allocsim.Driver.run_prepared prepared backend) ])
-      allocators
+    build_jobs ~allocators ~wrap ~config ~cce:(cce_cost test)
+      (fun backend predict_cost () ->
+        (* a static oracle resets its domain's pooled memo instead of
+           allocating one, an online oracle gets fresh learning state *)
+        let predictor =
+          Option.map
+            (fun predict_cost ->
+              Oracle.driver_predictor
+                (Oracle.instance_for_trace ~pooled:true oracle ~predict_cost
+                   test))
+            predict_cost
+        in
+        Lp_allocsim.Driver.run_prepared ?predictor prepared backend)
   in
-  let metrics = Parallel.all (List.map snd jobs) in
-  { results = List.map2 (fun (name, _) m -> (name, m)) jobs metrics }
+  results jobs (Parallel.all (List.map snd jobs))
 
 (* The streaming twin of [run]: [source] opens a fresh single-shot stream,
    and each replay job opens its own on the domain that runs it
@@ -117,7 +127,6 @@ let run ?(allocators = default_allocators) ?(wrap = fun b -> b)
 let run_streamed ?(allocators = default_allocators) ?(wrap = fun b -> b)
     ?(decode_ahead = false) ~(config : Config.t) ~(oracle : Oracle.t)
     ~(source : unit -> Lp_trace.Source.t) () : t =
-  let arena_config = Config.arena_config config in
   (* The CCE pricing needs the stream's call and object totals before any
      replay: file-backed sources declare both up front, text and
      generator sources pay one probe drain. *)
@@ -134,30 +143,16 @@ let run_streamed ?(allocators = default_allocators) ?(wrap = fun b -> b)
         (c.Lp_trace.Source.calls, Lp_trace.Source.n_objects probe)
   in
   let jobs =
-    List.concat_map
-      (fun name ->
-        let backend, display = resolve_spec ~arena_config name in
-        let backend = wrap backend in
-        if Lp_allocsim.Backend.uses_prediction backend then
-          (* the oracle instance is built per job, over the job's own
-             source, for private lookup (and any online) state *)
-          let with_cost predict_cost (src : Lp_trace.Source.t) =
-            let inst = Oracle.instance_for_source oracle ~predict_cost src in
-            Lp_allocsim.Driver.run_source ~decode_ahead
-              ~predictor:(Oracle.driver_predictor inst)
-              src backend
-          in
-          [
-            (display, with_cost Lp_allocsim.Cost_model.predict_len4);
-            (display ^ "-cce", with_cost (cce_cost_of ~calls ~allocs));
-          ]
-        else
-          [
-            ( display,
-              fun src -> Lp_allocsim.Driver.run_source ~decode_ahead src backend
-            );
-          ])
-      allocators
+    build_jobs ~allocators ~wrap ~config ~cce:(cce_cost_of ~calls ~allocs)
+      (fun backend predict_cost src ->
+        (* the oracle instance is built over the job's own source *)
+        let predictor =
+          Option.map
+            (fun predict_cost ->
+              Oracle.driver_predictor
+                (Oracle.instance_for_source oracle ~predict_cost src))
+            predict_cost
+        in
+        Lp_allocsim.Driver.run_source ~decode_ahead ?predictor src backend)
   in
-  let metrics = Parallel.map_sources source (List.map snd jobs) in
-  { results = List.map2 (fun (name, _) m -> (name, m)) jobs metrics }
+  results jobs (Parallel.map_sources source (List.map snd jobs))

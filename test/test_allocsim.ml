@@ -368,6 +368,44 @@ let driver_rejects_bad_frees () =
         ~substrings:[ "object 7"; "event 0" ])
     (Lp_allocsim.Registry.names ())
 
+(* A size <= 0 dies inside every backend with an unlocated
+   Invalid_argument; validation rejects it first, with the same located
+   message from [prepare], [run] and [run_source]. *)
+let driver_rejects_nonpositive_sizes () =
+  let alloc obj size = Lp_trace.Event.Alloc { obj; size; chain = 0; key = 0; tag = -1 } in
+  let realloc obj new_size =
+    Lp_trace.Event.Realloc { obj; old_size = 16; new_size; chain = 0; key = 0; tag = -1 }
+  in
+  let raised f = match f () with _ -> None | exception Failure m -> Some m in
+  List.iter
+    (fun (what, events, expect) ->
+      let trace = hand_trace events 2 in
+      Alcotest.(check (option string)) (what ^ ": prepare") (Some expect)
+        (raised (fun () -> Lp_allocsim.Driver.prepare trace));
+      List.iter
+        (fun name ->
+          let backend = Lp_allocsim.Registry.backend name in
+          let predictor = predictor_const true in
+          Alcotest.(check (option string))
+            (Printf.sprintf "%s: run %s" what name)
+            (Some expect)
+            (raised (fun () -> Lp_allocsim.Driver.run ~predictor trace backend));
+          Alcotest.(check (option string))
+            (Printf.sprintf "%s: run_source %s" what name)
+            (Some expect)
+            (raised (fun () ->
+                 Lp_allocsim.Driver.run_source ~predictor
+                   (Lp_trace.Source.of_trace trace) backend)))
+        (Lp_allocsim.Registry.names ()))
+    [
+      ( "size-0 alloc",
+        [ alloc 0 16; alloc 1 0 ],
+        "Driver.run: alloc of size 0 for object 1 at event 1" );
+      ( "realloc to 0",
+        [ alloc 0 16; realloc 0 0 ],
+        "Driver.run: realloc to size 0 of object 0 at event 1" );
+    ]
+
 (* -- set-up in proportion to use ------------------------------------------------------ *)
 
 (* Native code counts small minor-heap allocations only approximately,
@@ -473,5 +511,7 @@ let suites =
           driver_arena_predict_none_equals_first_fit;
         Alcotest.test_case "rejects bad frees with context" `Quick
           driver_rejects_bad_frees;
+        Alcotest.test_case "rejects nonpositive sizes" `Quick
+          driver_rejects_nonpositive_sizes;
       ] );
   ]

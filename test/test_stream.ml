@@ -12,36 +12,48 @@ module Source = Lp_trace.Source
 module D = Lp_analysis.Diagnostic
 
 (* random traces via the instrumented runtime, as in test_properties *)
+let trace_of_ops ops =
+  let rt = Rt.create ~program:"fuzz" ~input:"gen" () in
+  let funcs = Array.init 4 (fun i -> Rt.func rt (Printf.sprintf "f%d" i)) in
+  let live = ref [] in
+  List.iter
+    (fun (size, action) ->
+      match action with
+      | 0 | 1 | 2 ->
+          let depth = 1 + (size mod 3) in
+          for d = 0 to depth - 1 do
+            Rt.enter rt funcs.(d)
+          done;
+          let h = Rt.alloc rt ~size in
+          Rt.touch rt h (1 + (size mod 4));
+          for _ = 1 to depth do
+            Rt.leave rt
+          done;
+          live := h :: !live
+      | 3 | 4 -> (
+          match !live with
+          | h :: rest ->
+              Rt.free rt h;
+              live := rest
+          | [] -> ())
+      | _ -> Rt.non_heap_refs rt size)
+    ops;
+  Rt.finish rt
+
 let random_trace_gen =
   QCheck.Gen.(
     list_size (int_range 1 60) (pair (int_range 1 200) (int_range 0 6))
+    >|= trace_of_ops)
+
+(* Long traces for the streamed feeder's block edges: every op allocates
+   before its random action, so each trace spans thousands of events
+   (many blocks) and over 1024 objects — past the initial tables of a
+   source without an object hint (text), which then grow mid-stream. *)
+let long_trace_gen =
+  QCheck.Gen.(
+    list_size (int_range 1100 1400) (pair (int_range 1 200) (int_range 0 6))
     >|= fun ops ->
-    let rt = Rt.create ~program:"fuzz" ~input:"gen" () in
-    let funcs = Array.init 4 (fun i -> Rt.func rt (Printf.sprintf "f%d" i)) in
-    let live = ref [] in
-    List.iter
-      (fun (size, action) ->
-        match action with
-        | 0 | 1 | 2 ->
-            let depth = 1 + (size mod 3) in
-            for d = 0 to depth - 1 do
-              Rt.enter rt funcs.(d)
-            done;
-            let h = Rt.alloc rt ~size in
-            Rt.touch rt h (1 + (size mod 4));
-            for _ = 1 to depth do
-              Rt.leave rt
-            done;
-            live := h :: !live
-        | 3 | 4 -> (
-            match !live with
-            | h :: rest ->
-                Rt.free rt h;
-                live := rest
-            | [] -> ())
-        | _ -> Rt.non_heap_refs rt size)
-      ops;
-    Rt.finish rt)
+    trace_of_ops (List.concat_map (fun (size, a) -> [ (size, 0); (size, a) ]) ops))
 
 (* the realloc-bearing twin of [random_trace_gen], for the v3-only paths
    (the v1/v2 writers refuse these traces); every generated trace carries
@@ -106,32 +118,172 @@ let sources_of trace =
 
 (* -- replay: every backend, every source kind ------------------------------------ *)
 
+(* A stateless predictor with mixed verdicts: under it every survivor is
+   classified at the end of the replay, so a table that failed to grow
+   with the objects would show in the mispredict counters. *)
+let size_predictor : Lp_allocsim.Driver.predictor =
+  {
+    predicted = (fun ~obj:_ ~size ~chain:_ ~key:_ -> size mod 3 <> 0);
+    predict_cost = 18;
+    short_threshold = 4096;
+    on_outcome = None;
+  }
+
+(* each backend replays plain, and with the predictor and a cache (every
+   touch walked) *)
+let replay_fingerprints replay =
+  let cache = Lp_allocsim.Cache.create ~size_bytes:8192 () in
+  let m = replay (Some cache) (Some size_predictor) in
+  [
+    Lp_allocsim.Metrics.to_json (replay None None);
+    Printf.sprintf "%s accesses=%d misses=%d"
+      (Lp_allocsim.Metrics.to_json m)
+      (Lp_allocsim.Cache.accesses cache)
+      (Lp_allocsim.Cache.misses cache);
+  ]
+
 let backend_replay_equivalence =
   QCheck.Test.make ~count:30
     ~name:"streamed replay equals materialized for every backend and source"
-    (QCheck.make random_trace_gen)
+    (QCheck.make QCheck.Gen.(frequency [ (1, random_trace_gen); (1, long_trace_gen) ]))
     (fun trace ->
       let srcs = sources_of trace in
       List.for_all
         (fun name ->
+          let backend = Lp_allocsim.Registry.backend ~arena_config name in
           let expect =
-            Lp_allocsim.Metrics.to_json
-              (Lp_allocsim.Driver.run trace
-                 (Lp_allocsim.Registry.backend ~arena_config name))
+            replay_fingerprints (fun cache predictor ->
+                Lp_allocsim.Driver.run ?cache ?predictor trace backend)
           in
           List.for_all
             (fun (kind, make) ->
               let got =
-                Lp_allocsim.Metrics.to_json
-                  (Lp_allocsim.Driver.run_source (make ())
-                     (Lp_allocsim.Registry.backend ~arena_config name))
+                replay_fingerprints (fun cache predictor ->
+                    Lp_allocsim.Driver.run_source ?cache ?predictor (make ()) backend)
               in
               if got <> expect then
                 QCheck.Test.fail_reportf "%s via %s source:\n%s\nvs\n%s" name
-                  kind got expect;
+                  kind (String.concat "\n" got) (String.concat "\n" expect);
               true)
             srcs)
         (Lp_allocsim.Registry.names ()))
+
+(* -- validation at block edges -------------------------------------------------- *)
+
+let hand_trace = Test_allocsim.hand_trace
+let alloc obj size = Lp_trace.Event.Alloc { obj; size; chain = 0; key = 0; tag = -1 }
+let free obj = Lp_trace.Event.Free { obj; size = -1 }
+let touch obj = Lp_trace.Event.Touch { obj; count = 1 }
+
+let realloc obj new_size =
+  Lp_trace.Event.Realloc
+    { obj; old_size = 16; new_size; chain = 0; key = 0; tag = -1 }
+
+(* Every validation message, with the bad event it answers.  Object 0 is
+   live and object 2 freed when the bad event comes; object 1 is never
+   allocated.  The text codec has no negative ids, so the out-of-range
+   rows run on the in-memory paths only. *)
+let validation_rows =
+  [
+    ("alloc of out-of-range object -1", alloc (-1) 16, false);
+    ("free of out-of-range object -1", free (-1), false);
+    ("realloc of out-of-range object -1", realloc (-1) 32, false);
+    ("touch of out-of-range object -1", touch (-1), false);
+    ("second alloc of live object 0", alloc 0 16, true);
+    ("free of never-allocated or already-freed object 1", free 1, true);
+    ("free of never-allocated or already-freed object 2", free 2, true);
+    ("realloc of never-allocated or already-freed object 1", realloc 1 32, true);
+    ("alloc of size 0 for object 1", alloc 1 0, true);
+    ("alloc of size -5 for object 1", alloc 1 (-5), true);
+    ("realloc to size 0 of object 0", realloc 0 0, true);
+  ]
+
+(* [bad] at event [at] (>= 3) of a trace that allocates object 0, then
+   allocates and frees objects 2, 3, ... up to it *)
+let trace_with_bad_event ~at bad =
+  let pad = List.init ((at - 1) / 2) (fun i -> [ alloc (i + 2) 16; free (i + 2) ]) in
+  let odd = if (at - 1) mod 2 = 1 then [ touch 0 ] else [] in
+  hand_trace
+    ((alloc 0 16 :: List.concat pad) @ odd @ [ bad; free 0 ])
+    (List.length pad + 2)
+
+(* The streamed feeder replays blocks of 128 events: the bad event sits
+   at the last event of a block (127, 255), at the first of the next
+   (128, 256) and mid-block (200).  The prepared path, the streamed one
+   over an in-memory source, and the streamed one over text must all
+   raise the identical message, event index included. *)
+let validation_at_block_edges () =
+  let raised f = match f () with _ -> None | exception Failure m -> Some m in
+  List.iter
+    (fun (what, bad, in_text) ->
+      List.iter
+        (fun at ->
+          let trace = trace_with_bad_event ~at bad in
+          let expect = Some (Printf.sprintf "Driver.run: %s at event %d" what at) in
+          List.iter
+            (fun name ->
+              let backend = Lp_allocsim.Registry.backend ~arena_config name in
+              let check path f =
+                Alcotest.(check (option string))
+                  (Printf.sprintf "%s at %d, %s, %s" what at name path)
+                  expect (raised f)
+              in
+              check "run" (fun () -> Lp_allocsim.Driver.run trace backend);
+              check "run_source of_trace" (fun () ->
+                  Lp_allocsim.Driver.run_source (Source.of_trace trace) backend);
+              if in_text then
+                check "run_source text" (fun () ->
+                    Lp_allocsim.Driver.run_source
+                      (Source.of_string ~name:"bad.txt"
+                         (Lp_trace.Textio.to_string trace))
+                      backend))
+            (Lp_allocsim.Registry.names ()))
+        [ 127; 128; 200; 255; 256 ])
+    validation_rows
+
+(* A streamed Touch may name an id that no table covers.  Under a cache it
+   is skipped like a touch of a dead object — never read past a table,
+   nor from a pooled table's stale slots: a prior replay leaves this
+   domain's scratch 4000 ids long and full of live addresses, while the
+   text source (no object hint) covers 1024. *)
+let streamed_touch_beyond_tables () =
+  let cached run =
+    let cache = Lp_allocsim.Cache.create ~size_bytes:8192 () in
+    let m = run cache in
+    (Lp_allocsim.Metrics.to_json m, Lp_allocsim.Cache.accesses cache,
+     Lp_allocsim.Cache.misses cache)
+  in
+  let big = hand_trace (List.init 4000 (fun obj -> alloc obj 16)) 4000 in
+  ignore
+    (cached (fun cache ->
+         Lp_allocsim.Driver.run ~cache big (Lp_allocsim.Registry.backend "first-fit")));
+  let text ~extra =
+    String.concat "\n"
+      ([ "trace t i"; "func 0 main"; "chain 0 0" ]
+      @ List.init 10 (fun obj -> Printf.sprintf "a %d %d 0 5 -1 1" obj (16 * (obj + 1)))
+      @ [ "r 3 4" ] @ extra
+      @ List.init 10 (fun obj -> Printf.sprintf "r %d 2" obj)
+      @ List.init 5 (fun obj -> Printf.sprintf "f %d" (2 * obj))
+      @ [ "counters 1 1 1 1"; "end"; "" ])
+  in
+  let with_touches = text ~extra:[ "r 500 2"; "r 3000 2"; "r 1000000 2" ] in
+  let without = text ~extra:[] in
+  List.iter
+    (fun name ->
+      let backend = Lp_allocsim.Registry.backend ~arena_config name in
+      let streamed s cache =
+        Lp_allocsim.Driver.run_source ~cache (Source.of_string ~name:"t.txt" s) backend
+      in
+      let expect = cached (streamed without) in
+      Alcotest.(check (triple string int int))
+        (name ^ ": materialized without the touches")
+        expect
+        (cached (fun cache ->
+             Lp_allocsim.Driver.run ~cache (Lp_trace.Textio.of_string without) backend));
+      Alcotest.(check (triple string int int))
+        (name ^ ": streamed with the touches")
+        expect (cached (streamed with_touches)))
+    (Lp_allocsim.Registry.names ())
 
 (* -- the generator source: effect-inverted workloads ------------------------------- *)
 
@@ -490,6 +642,10 @@ let suites =
           simulate_streamed_equivalence;
         Alcotest.test_case "lint streams the corrupt corpus identically" `Quick
           lint_stream_corpus_equivalence;
+        Alcotest.test_case "validation at block edges" `Quick
+          validation_at_block_edges;
+        Alcotest.test_case "streamed touch beyond the tables" `Quick
+          streamed_touch_beyond_tables;
         Alcotest.test_case "grow array basics" `Quick grow_basics;
         Alcotest.test_case "lifetimes skip weightless allocations" `Quick
           lifetimes_skip_weightless_allocations;

@@ -459,7 +459,9 @@ let binio_rejects_negative_fields () =
 (* The same trace through the CLI's exit-code contract: [convert] to
    [.lpt] is an input error (exit 2) with the located message, not an
    uncaught exception (exit 125), and writes no file; [stats] still
-   accepts the trace. *)
+   accepts the trace.  Replay refuses a nonpositive size (this trace's
+   -5 and the size 0 of [nonpositive_size.txt]) the same way, in
+   [simulate] with and without [--stream] and in [tune]. *)
 let convert_negative_size_exit_code () =
   let lpalloc = Filename.concat (Filename.concat ".." "bin") "lpalloc.exe" in
   let out = Filename.temp_file "negative" ".lpt" in
@@ -485,6 +487,22 @@ let convert_negative_size_exit_code () =
         [ out; "event 0"; "object 0"; "negative size -5" ];
       Alcotest.(check bool) (what ^ " writes no file") false (Sys.file_exists out))
     [ []; [ "--v3" ] ];
+  List.iter
+    (fun trace ->
+      List.iter
+        (fun cmd ->
+          let code = run (cmd @ [ "--train"; trace; "--test"; trace ]) in
+          let msg = In_channel.with_open_bin err In_channel.input_all in
+          let what = String.concat " " cmd ^ " " ^ trace in
+          Alcotest.(check int) (what ^ " exits 2") 2 code;
+          List.iter
+            (fun part ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s message names %S (got %S)" what part msg)
+                true (Test_stream.contains msg part))
+            [ "event 0"; "object 0" ])
+        [ [ "simulate" ]; [ "simulate"; "--stream" ]; [ "tune" ] ])
+    [ "corrupt_traces/nonpositive_size.txt"; negative_size ];
   Sys.remove err
 
 (* -- runtime safety ------------------------------------------------------------ *)
