@@ -141,11 +141,17 @@ let run_over analyses (src : Source.t) (en : entry) =
 let run_range ~analyses (rg : Sharded.range) =
   run_over analyses (Sharded.range_source rg) (entry_of_range rg)
 
+(* the merges outlive the drained stream, so the pass's heap peak is
+   noted again once they return *)
 let merge_ranges ~analyses per_range =
-  List.mapi
-    (fun i (module D : DOMAIN) ->
-      D.merge (List.map (fun tokens -> List.nth tokens i) per_range))
-    analyses
+  let merged =
+    List.mapi
+      (fun i (module D : DOMAIN) ->
+        D.merge (List.map (fun tokens -> List.nth tokens i) per_range))
+      analyses
+  in
+  Lp_obs.Timings.note_peak_heap ();
+  merged
 
 let run_source ~analyses src =
   merge_ranges ~analyses [ run_over analyses src whole ]
@@ -256,14 +262,12 @@ module Site_profile = struct
 
   let enter cfg (src : Source.t) (en : entry) =
     let fold =
-      Lp_trace.Lifetimes.Fold.create
-        ~hint:(max 64 (Array.length en.en_carry))
-        ~start_clock:en.en_start_clock ~carry:en.en_carry ()
+      Lp_trace.Lifetimes.Fold.create src ~start_clock:en.en_start_clock
+        ~carry:en.en_carry
     in
     let ids = Lp_trace.Site_intern.create () in
     let keys = ref [] and firsts = ref [] in
-    let alloc_site = Grow.create 1024 in
-    let n_allocs = ref 0 in
+    let alloc_site = Grow.create (Lp_trace.Lifetimes.alloc_hint src) in
     let step (ctx : ctx) ev =
       (match ev with
       | Event.Alloc { size; chain; key; _ } ->
@@ -281,8 +285,7 @@ module Site_profile = struct
             keys := portable_of cfg (src.Source.funcs ()) site :: !keys;
             firsts := ctx.cx_event :: !firsts
           end;
-          Grow.set alloc_site !n_allocs sid;
-          incr n_allocs
+          Grow.push alloc_site sid
       | _ -> ());
       Lp_trace.Lifetimes.Fold.step fold ev
     in
@@ -293,8 +296,7 @@ module Site_profile = struct
           sm_sizes = Lp_trace.Site_intern.sizes ids;
           sm_keys = Array.of_list (List.rev !keys);
           sm_first_event = Array.of_list (List.rev !firsts);
-          sm_alloc_site =
-            Array.init !n_allocs (fun i -> Grow.get alloc_site i);
+          sm_alloc_site = Grow.take alloc_site;
           sm_fold = Lp_trace.Lifetimes.Fold.finish fold;
         }
     in

@@ -431,7 +431,7 @@ let run_range ?only ?disable ?(max_chain_depth = default_max_chain_depth)
                 (Printf.sprintf "touch of object %d after its free at event %d"
                    obj st))
     src;
-  let objs = Lp_trace.Grow.to_array touched in
+  let objs = Lp_trace.Grow.take touched in
   {
     lr_diags = List.rev !out;
     lr_objs = objs;

@@ -119,16 +119,21 @@ let create_memo () =
 (* stale verdicts are unreachable once the interner forgets their ids *)
 let reset_memo m = Lp_trace.Site_intern.clear m.ids
 
+(* The memo interns what the policy reads — the chain, or the key under
+   [Encrypted_key] — by the trainer's own rule: two keys under one chain
+   are two sites, so they must not share a verdict. *)
 let for_lookup_in m t ~chain_of ~funcs =
+  let by_key = Train.keyed_by_key t.policy in
   fun ~obj:_ ~size ~chain ~key ->
-    let id = Lp_trace.Site_intern.find m.ids chain size in
+    let ck = if by_key then key else chain in
+    let id = Lp_trace.Site_intern.find m.ids ck size in
     if id >= 0 then Bytes.unsafe_get m.verdicts id = '\001'
     else begin
       let site =
         Lp_callchain.Site.make t.policy ~raw_chain:(chain_of chain) ~key ~size
       in
       let hit = predicts_site t (funcs ()) site in
-      let id = Lp_trace.Site_intern.intern m.ids chain size in
+      let id = Lp_trace.Site_intern.intern m.ids ck size in
       if id = Bytes.length m.verdicts then
         m.verdicts <- Bytes.extend m.verdicts 0 (Bytes.length m.verdicts);
       Bytes.set m.verdicts id (if hit then '\001' else '\000');

@@ -58,7 +58,8 @@ val for_lookup :
   key:int ->
   bool
 (** A memoizing lookup over any chain-id resolver: each interned
-    (chain, size) pair is resolved once, so the simulation driver's
+    (chain, size) pair — (key, size) under [Encrypted_key], the pair the
+    policy reads — is resolved once, so the simulation driver's
     per-allocation test is a hash-table probe — mirroring the small site
     hash table of §5.1.  [funcs] is a thunk because a generator source's
     table only exists once streaming has started. *)

@@ -87,8 +87,8 @@ let finish b ~chain_of =
     pair_size = Site_intern.sizes b.b_pairs;
     pair_chain = (if b.b_by_key then [||] else Array.map chain_of pair_ck);
     pair_totals = Array.sub b.b_totals 0 n;
-    a_pair = Grow.to_array b.b_pair;
-    a_life = Grow.to_array b.b_life;
+    a_pair = Grow.take b.b_pair;
+    a_life = Grow.take b.b_life;
   }
 
 let profile ?(policy = Config.default.policy) (trace : Lp_trace.Trace.t) =
@@ -229,7 +229,7 @@ let collect_range ?(config = Config.default) (rg : Lp_trace.Sharded.range) =
         Grow.push ck (if by_key then key else chain))
       rg
   in
-  { rc_ck = Grow.to_array ck; rc_fold = fold }
+  { rc_ck = Grow.take ck; rc_fold = fold }
 
 let merge_ranges ?(config = Config.default) (sh : Lp_trace.Sharded.t) parts :
     streamed =

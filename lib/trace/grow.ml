@@ -36,4 +36,7 @@ let set t i x =
   Array.unsafe_set t.data i x
 
 let push t x = set t t.len x
-let to_array t = Array.sub t.data 0 t.len
+(* hand the storage over when it is exactly full: a table pre-sized from
+   an exact hint ends its life without a copy *)
+let take t =
+  if t.len = Array.length t.data then t.data else Array.sub t.data 0 t.len

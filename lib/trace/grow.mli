@@ -22,4 +22,7 @@ val ensure : t -> int -> unit
 val get : t -> int -> int
 val set : t -> int -> int -> unit
 val push : t -> int -> unit
-val to_array : t -> int array
+val take : t -> int array
+(** The first [length t] elements.  When the storage is exactly full it
+    is handed over, not copied, so the grow must not be written
+    afterwards: call it once the table is complete. *)

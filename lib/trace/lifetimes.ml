@@ -40,13 +40,6 @@ type summary = {
   total_alloc_bytes : int;
 }
 
-(* Streaming twin of [compute] + the byte-weighted fold the lifetimes CLI
-   does on top of it: one pass over the source keeping per-object birth
-   state and one (object, size) record per allocation, then a deferred
-   fold in allocation order into the P² quantile histogram — the same
-   observation sequence as the materialized path, so the histogram state
-   (and its quartiles) is identical.  Memory scales with the allocation
-   count, never the event count. *)
 (* the byte-weighted observation of one allocation; one of no positive
    bytes carries no weight *)
 let weigh hist ~threshold ~short ~total ~size ~survived lifetime =
@@ -57,101 +50,65 @@ let weigh hist ~threshold ~short ~total ~size ~survived lifetime =
     if (not survived) && lifetime < threshold then short := !short + size
   end
 
-let summary_source ~threshold (src : Source.t) =
-  let hint =
-    match src.Source.n_objects_hint with Some n -> max 1 n | None -> 1024
-  in
-  let a_obj = Grow.create 1024 in
-  let a_size = Grow.create 1024 in
-  let n_allocs = ref 0 in
-  let birth = Grow.create hint in
-  let lifetime = Grow.create hint in
-  let survived = Grow.create ~default:1 hint in
-  let clock = ref 0 in
-  Source.iter
-    (function
-      | Event.Alloc { obj; size; _ } ->
-          Grow.push a_obj obj;
-          Grow.push a_size size;
-          incr n_allocs;
-          Grow.set birth obj !clock;
-          clock := !clock + size
-      | Event.Free { obj; _ } ->
-          Grow.set lifetime obj (!clock - Grow.get birth obj);
-          Grow.set survived obj 0
-      | Event.Realloc { old_size; new_size; _ } ->
-          clock := !clock + max 0 (new_size - old_size)
-      | Event.Touch _ -> ())
-    src;
-  let end_clock = !clock in
-  let hist = Lp_quantile.Histogram.create () in
-  let short = ref 0 and total = ref 0 in
-  for i = 0 to !n_allocs - 1 do
-    let obj = Grow.get a_obj i in
-    let size = Grow.get a_size i in
-    let surv = Grow.get survived obj = 1 in
-    let lt =
-      if surv then end_clock - Grow.get birth obj else Grow.get lifetime obj
-    in
-    weigh hist ~threshold ~short ~total ~size ~survived:surv lt
-  done;
-  { hist; short_bytes = !short; total_alloc_bytes = !total }
-
-(* The range quarter of [summary_source]: replay one sharded chunk range
-   seeded with its carry-in birth clocks and the absolute allocation
-   clock, recording the range's allocations (in order) and, per object
-   the range wrote, the range-final birth/lifetime/survival values.
-   Applying the folds of a covering partition in range order ([resolve])
-   reconstructs exactly the arrays the sequential pass ends with, because
-   each fold's end values equal the sequential machine's state at that
-   point of the stream: births are absolute clocks (seeded from
-   [rg_start_clock]), a free's lifetime subtracts either an in-range
-   birth or the carried pre-range birth clock, and later ranges overwrite
-   earlier ones just as later events overwrite earlier ones. *)
+(* The streamed twin of [compute]: replay one stretch of a trace — the
+   whole stream, or one sharded chunk range seeded with its carry-in
+   birth clocks and the absolute allocation clock — recording the
+   stretch's allocations (in order) and, per object id, the
+   stretch-final birth clock and lifetime plus one byte saying whether
+   the stretch allocated and/or freed the object.  Applying the folds of
+   a covering partition in range order ([resolve]) reconstructs exactly
+   the state the sequential machine ends with, because each fold's end
+   values equal that machine's state at that point of the stream:
+   births are absolute clocks, a free's lifetime subtracts either an
+   in-range birth or the carried pre-range birth clock, and later ranges
+   overwrite earlier ones just as later events overwrite earlier ones.
+   The whole stream is the one-range partition, so [summary_source] is
+   [merge_summaries] of a single fold. *)
 type range_fold = {
   rf_a_obj : int array;
   rf_a_size : int array;
-  rf_touched : int array;
-  rf_born : int array;
   rf_birth : int array;
-  rf_freed : int array;
   rf_life : int array;
+  rf_flags : Bytes.t;
   rf_end_clock : int;
 }
 
-(* Incremental form of the range fold: the same state machine exposed one
-   event at a time, so passes that interleave their own per-event work
-   with lifetime accumulation (the audit engine's analyses) drive a
-   [Fold.t] from their own event loop instead of duplicating the clock
-   and birth/free bookkeeping.  [fold_range] below is the one-shot loop
-   over it. *)
+let born = 1
+let freed = 2
+
+(* Capacity hints from a source's header totals: the object count for
+   the per-object tables, and for the per-allocation ones the object
+   count capped by the event count (a range of a sharded trace holds
+   fewer allocations than the trace has objects).  Both are exact for a
+   whole .lpt trace that allocates each object once, so no table grows
+   and [Fold.finish] copies nothing. *)
+let object_hint (src : Source.t) =
+  match src.Source.n_objects_hint with Some n -> n | None -> 1024
+
+let alloc_hint (src : Source.t) =
+  match src.Source.n_events_hint with
+  | Some e -> min e (object_hint src)
+  | None -> object_hint src
+
 module Fold = struct
   type t = {
     f_a_obj : Grow.t;
     f_a_size : Grow.t;
     f_birth : Grow.t;
-    f_born : Grow.t;
-    f_freed : Grow.t;
     f_life : Grow.t;
-    f_touched : Grow.t;
-    f_stamp : Grow.t;
-    mutable f_n_allocs : int;
+    mutable f_flags : Bytes.t;
     mutable f_clock : int;
   }
 
-  let create ?(hint = 64) ~start_clock ~carry () =
-    let hint = max hint (Array.length carry) in
+  let create (src : Source.t) ~start_clock ~carry =
+    let objects = object_hint src and allocs = alloc_hint src in
     let t =
       {
-        f_a_obj = Grow.create 1024;
-        f_a_size = Grow.create 1024;
-        f_birth = Grow.create hint;
-        f_born = Grow.create hint;
-        f_freed = Grow.create hint;
-        f_life = Grow.create hint;
-        f_touched = Grow.create 256;
-        f_stamp = Grow.create hint;
-        f_n_allocs = 0;
+        f_a_obj = Grow.create allocs;
+        f_a_size = Grow.create allocs;
+        f_birth = Grow.create objects;
+        f_life = Grow.create objects;
+        f_flags = Bytes.make objects '\000';
         f_clock = start_clock;
       }
     in
@@ -161,99 +118,121 @@ module Fold = struct
       carry;
     t
 
-  let clock t = t.f_clock
-  let n_allocs t = t.f_n_allocs
-
-  let touch t obj =
-    if Grow.get t.f_stamp obj = 0 then begin
-      Grow.set t.f_stamp obj 1;
-      Grow.push t.f_touched obj
-    end
+  (* set a bit of an object's flag byte, growing the bytes by doubling *)
+  let mark t obj bit =
+    let n = Bytes.length t.f_flags in
+    if obj >= n then begin
+      let grown = Bytes.make (max (obj + 1) (2 * n)) '\000' in
+      Bytes.blit t.f_flags 0 grown 0 n;
+      t.f_flags <- grown
+    end;
+    Bytes.unsafe_set t.f_flags obj
+      (Char.unsafe_chr (Char.code (Bytes.unsafe_get t.f_flags obj) lor bit))
 
   let step t = function
     | Event.Alloc { obj; size; _ } ->
         Grow.push t.f_a_obj obj;
         Grow.push t.f_a_size size;
-        t.f_n_allocs <- t.f_n_allocs + 1;
-        touch t obj;
-        Grow.set t.f_born obj 1;
         Grow.set t.f_birth obj t.f_clock;
+        mark t obj born;
         t.f_clock <- t.f_clock + size
     | Event.Free { obj; _ } ->
-        touch t obj;
-        Grow.set t.f_freed obj 1;
-        Grow.set t.f_life obj (t.f_clock - Grow.get t.f_birth obj)
+        Grow.set t.f_life obj (t.f_clock - Grow.get t.f_birth obj);
+        mark t obj freed
     | Event.Realloc { old_size; new_size; _ } ->
+        (* a resize advances the clock by the grown delta but keeps the
+           object's birth: its lifetime spans its resizes *)
         t.f_clock <- t.f_clock + max 0 (new_size - old_size)
     | Event.Touch _ -> ()
 
+  (* the per-object tables end at the highest id written, which every
+     flag lies below; a table pre-sized exactly is handed over as is *)
   let finish t =
-    let touched = Grow.to_array t.f_touched in
+    let n = max (Grow.length t.f_birth) (Grow.length t.f_life) in
+    Grow.ensure t.f_birth n;
+    Grow.ensure t.f_life n;
+    let flags =
+      if Bytes.length t.f_flags = n then t.f_flags
+      else begin
+        let b = Bytes.make n '\000' in
+        Bytes.blit t.f_flags 0 b 0 (min n (Bytes.length t.f_flags));
+        b
+      end
+    in
     {
-      rf_a_obj = Grow.to_array t.f_a_obj;
-      rf_a_size = Grow.to_array t.f_a_size;
-      rf_touched = touched;
-      rf_born = Array.map (Grow.get t.f_born) touched;
-      rf_birth = Array.map (Grow.get t.f_birth) touched;
-      rf_freed = Array.map (Grow.get t.f_freed) touched;
-      rf_life = Array.map (Grow.get t.f_life) touched;
+      rf_a_obj = Grow.take t.f_a_obj;
+      rf_a_size = Grow.take t.f_a_size;
+      rf_birth = Grow.take t.f_birth;
+      rf_life = Grow.take t.f_life;
+      rf_flags = flags;
       rf_end_clock = t.f_clock;
     }
 end
 
-let fold_range ?on_alloc (rg : Sharded.range) =
-  let src = Sharded.range_source rg in
-  let fold =
-    Fold.create
-      ~hint:(max 64 (Array.length rg.Sharded.rg_carry))
-      ~start_clock:rg.Sharded.rg_start_clock ~carry:rg.Sharded.rg_carry ()
-  in
-  Source.iter
-    (fun ev ->
-      (match (ev, on_alloc) with
-      | Event.Alloc { size; chain; key; _ }, Some f -> f src ~size ~chain ~key
-      | _ -> ());
-      Fold.step fold ev)
-    src;
+let fold_source ?on_alloc (src : Source.t) ~start_clock ~carry =
+  let fold = Fold.create src ~start_clock ~carry in
+  (match on_alloc with
+  | None -> Source.iter (Fold.step fold) src
+  | Some f ->
+      Source.iter
+        (fun ev ->
+          (match ev with
+          | Event.Alloc { size; chain; key; _ } -> f src ~size ~chain ~key
+          | _ -> ());
+          Fold.step fold ev)
+        src);
   Fold.finish fold
 
-(* final per-object state after applying a covering partition's folds in
-   range order; growable so corrupt traces with out-of-range object ids
-   degrade exactly like the sequential pass instead of crashing *)
-type resolved = {
-  rv_birth : Grow.t;
-  rv_life : Grow.t;
-  rv_surv : Grow.t;
-  rv_end_clock : int;
-}
+let fold_range ?on_alloc (rg : Sharded.range) =
+  fold_source ?on_alloc
+    (Sharded.range_source rg)
+    ~start_clock:rg.Sharded.rg_start_clock ~carry:rg.Sharded.rg_carry
 
-let resolve folds =
-  let birth = Grow.create 1024 in
-  let life = Grow.create 1024 in
-  let surv = Grow.create ~default:1 1024 in
-  let end_clock =
-    List.fold_left (fun _ f -> f.rf_end_clock) 0 folds
-  in
-  List.iter
-    (fun f ->
-      Array.iteri
-        (fun i obj ->
-          if f.rf_born.(i) = 1 then Grow.set birth obj f.rf_birth.(i);
-          if f.rf_freed.(i) = 1 then begin
-            Grow.set life obj f.rf_life.(i);
-            Grow.set surv obj 0
-          end)
-        f.rf_touched)
-    folds;
-  { rv_birth = birth; rv_life = life; rv_surv = surv; rv_end_clock = end_clock }
+(* the final per-object state of a covering partition, in a fold's
+   shape: a single fold (every sequential pass) already is it and is read
+   in place; several are applied in range order onto tables sized to the
+   largest *)
+type resolved = range_fold
 
-let resolved_survived r obj = Grow.get r.rv_surv obj = 1
+let resolve = function
+  | [ f ] -> f
+  | folds ->
+      let n =
+        List.fold_left (fun n f -> max n (Bytes.length f.rf_flags)) 0 folds
+      in
+      let birth = Array.make n 0 and life = Array.make n 0 in
+      let flags = Bytes.make n '\000' in
+      List.iter
+        (fun f ->
+          Bytes.iteri
+            (fun obj c ->
+              let fl = Char.code c in
+              if fl <> 0 then begin
+                if fl land born <> 0 then birth.(obj) <- f.rf_birth.(obj);
+                if fl land freed <> 0 then life.(obj) <- f.rf_life.(obj);
+                Bytes.set flags obj
+                  (Char.unsafe_chr (Char.code (Bytes.get flags obj) lor fl))
+              end)
+            f.rf_flags)
+        folds;
+      {
+        rf_a_obj = [||];
+        rf_a_size = [||];
+        rf_birth = birth;
+        rf_life = life;
+        rf_flags = flags;
+        rf_end_clock = List.fold_left (fun _ f -> f.rf_end_clock) 0 folds;
+      }
+
+(* every allocation record's object lies below its fold's table length *)
+let resolved_survived r obj =
+  Char.code (Bytes.get r.rf_flags obj) land freed = 0
 
 let resolved_lifetime r obj =
-  if resolved_survived r obj then r.rv_end_clock - Grow.get r.rv_birth obj
-  else Grow.get r.rv_life obj
+  if resolved_survived r obj then r.rf_end_clock - r.rf_birth.(obj)
+  else r.rf_life.(obj)
 
-let resolved_end_clock r = r.rv_end_clock
+let resolved_end_clock r = r.rf_end_clock
 
 let merge_summaries ~threshold folds =
   let r = resolve folds in
@@ -267,7 +246,12 @@ let merge_summaries ~threshold folds =
             ~survived:(resolved_survived r obj) (resolved_lifetime r obj))
         f.rf_a_obj)
     folds;
+  (* the merge outlives the drained stream: note the pass's peak again *)
+  Lp_obs.Timings.note_peak_heap ();
   { hist; short_bytes = !short; total_alloc_bytes = !total }
+
+let summary_source ~threshold src =
+  merge_summaries ~threshold [ fold_source src ~start_clock:0 ~carry:[||] ]
 
 let max_live (trace : Trace.t) =
   let sizes = Array.make trace.n_objects 0 in

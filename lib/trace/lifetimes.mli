@@ -39,33 +39,53 @@ type summary = {
 
 val summary_source : threshold:int -> Source.t -> summary
 (** Streaming twin of {!compute} plus the byte-weighted histogram fold
-    the [lpalloc lifetimes] command performs: one bounded-memory pass
-    (per-allocation records, never the event array), with the histogram
-    fed in allocation order.  The source is consumed. *)
+    the [lpalloc lifetimes] command performs: the one-range case of the
+    sharded fold below — one {!range_fold} over the whole source, then
+    {!merge_summaries} of that single fold — so it keeps no per-object
+    state of its own and equals the sharded merge by construction.  The
+    source is consumed. *)
 
-(** {1 Sharded replay}
+(** {1 The lifetime fold}
 
-    A {!range_fold} is the per-range quarter of {!summary_source}: one
-    range of a sharded trace replayed with absolute clocks (seeded from
-    the range's entry counters and carry-in birth clocks), keeping the
-    range's allocation records plus the range-final lifetime state of
-    every object the range wrote.  For a covering partition of the
-    trace, {!resolve} applies the folds in range order and ends with
-    exactly the sequential pass's final per-object state, so
-    {!merge_summaries} reproduces {!summary_source} — including the
-    histogram's internal state, because the deferred observations happen
-    in the same global allocation order. *)
+    A {!range_fold} replays one stretch of a trace — the whole stream,
+    or one range of a sharded trace seeded from the range's entry clock
+    and carry-in birth clocks — with absolute clocks, keeping the
+    stretch's allocation records plus the stretch-final lifetime state
+    of every object it wrote.  For a covering partition of the trace,
+    {!resolve} applies the folds in range order and ends with exactly
+    the sequential pass's final per-object state, so {!merge_summaries}
+    reproduces {!summary_source} — including the histogram's internal
+    state, because the deferred observations happen in the same global
+    allocation order.
+
+    {b Layout.}  A fold holds two words per allocation and two words
+    and a byte per object id below the highest id the stretch wrote:
+    nothing else grows with the trace.  Every table is pre-sized from
+    the source's header totals ({!alloc_hint}); for a whole [.lpt] trace
+    that allocates each object once they are exact, so no table grows
+    and {!Fold.finish} hands the storage over without copying.  A
+    source without header totals (a text stream) starts them at 1024
+    slots, and they grow by doubling. *)
 
 type range_fold = {
-  rf_a_obj : int array;  (** objects of the range's allocs, event order *)
-  rf_a_size : int array;
-  rf_touched : int array;  (** objects whose state the range wrote *)
-  rf_born : int array;  (** 1 iff allocated in the range (per touched) *)
-  rf_birth : int array;  (** last in-range birth clock (absolute) *)
-  rf_freed : int array;  (** 1 iff freed in the range (per touched) *)
-  rf_life : int array;  (** last in-range free's lifetime *)
-  rf_end_clock : int;  (** absolute clock after the range's last event *)
+  rf_a_obj : int array;  (** objects of the stretch's allocs, event order *)
+  rf_a_size : int array;  (** their sizes at allocation *)
+  rf_birth : int array;
+      (** by object id: its last birth clock in the stretch (absolute),
+          or its carried-in one *)
+  rf_life : int array;  (** by object id: its last free's lifetime *)
+  rf_flags : Bytes.t;
+      (** by object id: bit 0 set iff the stretch allocated it, bit 1 iff
+          it freed it; an object whose byte is 0 was not written *)
+  rf_end_clock : int;  (** absolute clock after the stretch's last event *)
 }
+(** The three per-object tables have one length: the highest object id
+    written, plus one. *)
+
+val alloc_hint : Source.t -> int
+(** The per-allocation capacity the fold pre-sizes from a source: its
+    object count, capped by its event count.  Passes that keep their
+    own per-allocation column beside the fold size it with this. *)
 
 val fold_range :
   ?on_alloc:(Source.t -> size:int -> chain:int -> key:int -> unit) ->
@@ -78,25 +98,20 @@ val fold_range :
 (** The incremental face of {!fold_range}: the same lifetime state
     machine driven one event at a time, for passes that interleave their
     own per-event accumulation with the lifetime fold (the audit
-    engine's site analyses).  [create ~start_clock ~carry] seeds the
-    carried birth clocks exactly as {!fold_range} does; {!Fold.step} on
-    every event of the range and then {!Fold.finish} yields the same
-    {!range_fold} the one-shot loop produces. *)
+    engine's site analyses).  [create src ~start_clock ~carry] sizes the
+    tables from [src] and seeds the carried birth clocks exactly as
+    {!fold_range} does; {!Fold.step} on every event of the stretch and
+    then {!Fold.finish} yields the same {!range_fold} the one-shot loop
+    produces. *)
 module Fold : sig
   type t
 
-  val create :
-    ?hint:int -> start_clock:int -> carry:Binio.carry array -> unit -> t
-  (** [hint] pre-sizes the per-object tables (at least the carry size). *)
-
-  val clock : t -> int
-  (** Absolute allocation clock {e before} the next event. *)
-
-  val n_allocs : t -> int
-  (** Allocation records pushed so far. *)
-
+  val create : Source.t -> start_clock:int -> carry:Binio.carry array -> t
   val step : t -> Event.t -> unit
+
   val finish : t -> range_fold
+  (** Hands the tables over (copying only those whose capacity is not
+      exactly their length); the fold must not be stepped afterwards. *)
 end
 
 type resolved
@@ -104,9 +119,14 @@ type resolved
 
 val resolve : range_fold list -> resolved
 (** Apply folds in range order (the caller passes them in range order —
-    {!Sharded.range} order, as a covering partition of the trace). *)
+    {!Sharded.range} order, as a covering partition of the trace).  A
+    single fold — every sequential pass — is read in place, allocating
+    nothing; several are applied onto one set of tables sized to the
+    largest fold's, with survival kept in a byte per object. *)
 
 val resolved_survived : resolved -> int -> bool
+(** [obj] must be the object of one of the folds' allocation records. *)
+
 val resolved_lifetime : resolved -> int -> int
 val resolved_end_clock : resolved -> int
 

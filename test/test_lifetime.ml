@@ -407,6 +407,53 @@ let encrypted_key_splits_a_chain () =
            ~config:{ config with Lifetime.Config.policy = Site.Encrypted_key }
            (Train.profile trace)))
 
+(* Under [Encrypted_key] the predictor's per-trace memo interns the
+   (key, size) pairs the policy reads: two keys under one chain are two
+   sites, and neither may inherit the other's verdict, whichever of them
+   is queried first.  Key 7's object dies at once, key 9's survives, so
+   only the first belongs in an arena. *)
+let encrypted_key_verdicts_ignore_query_order () =
+  let module B = Lp_trace.Trace.Builder in
+  let funcs = Lp_callchain.Func.create_table () in
+  let main = Lp_callchain.Func.intern funcs "main" in
+  let b = B.create ~program:"keys" ~input:"hand" ~funcs () in
+  let chain = B.intern_chain b [| main |] in
+  let short = B.alloc b ~size:16 ~chain ~key:7 () in
+  B.free b ~obj:short;
+  ignore (B.alloc b ~size:16 ~chain ~key:9 () : int);
+  let trace = B.finish b in
+  let config = { config with Lifetime.Config.policy = Site.Encrypted_key } in
+  let p =
+    Lifetime.Predictor.build ~config ~funcs:trace.funcs
+      (Train.collect ~config trace)
+  in
+  List.iter
+    (fun order ->
+      let lookup = Lifetime.Predictor.for_trace p trace in
+      let verdicts =
+        List.map (fun key -> (key, lookup ~obj:0 ~size:16 ~chain ~key)) order
+      in
+      let what = String.concat "," (List.map string_of_int order) in
+      Alcotest.(check bool) ("key 7 predicted, order " ^ what) true
+        (List.assoc 7 verdicts);
+      Alcotest.(check bool) ("key 9 not predicted, order " ^ what) false
+        (List.assoc 9 verdicts))
+    [ [ 7; 9 ]; [ 9; 7 ] ];
+  let m =
+    Lifetime.Simulate.metrics
+      (Lifetime.Simulate.run ~allocators:[ "arena" ] ~config
+         ~oracle:(Lifetime.Oracle.static p) ~test:trace ())
+      "arena"
+  in
+  let arena_allocs =
+    match Lp_allocsim.Metrics.arena_stats m with
+    | Some st -> st.Lp_allocsim.Metrics.arena_allocs
+    | None -> Alcotest.fail "arena metrics carry no arena statistics"
+  in
+  Alcotest.(check int) "one arena allocation" 1 arena_allocs;
+  Alcotest.(check int) "no short-lived mispredict" 0
+    m.Lp_allocsim.Metrics.mispredicts_short_lived
+
 let suites =
   [
     ( "parallel",
@@ -444,5 +491,7 @@ let suites =
         QCheck_alcotest.to_alcotest training_matches_reference;
         Alcotest.test_case "encrypted key splits a chain" `Quick
           encrypted_key_splits_a_chain;
+        Alcotest.test_case "encrypted-key verdicts ignore query order" `Quick
+          encrypted_key_verdicts_ignore_query_order;
       ] );
   ]

@@ -429,6 +429,88 @@ let source_iter_allocates_only_events () =
     Alcotest.failf "Source.iter over a v3 buffer allocates %.1f words per event"
       per_event
 
+(* -- the streamed lifetime passes hold a few words per object ----------------- *)
+
+(* gawk's tiny input tiled past 100 K objects, so the per-object tables
+   dwarf the per-site ones *)
+let tiled_trace =
+  lazy
+    (let tr = Lp_workloads.Registry.trace ~program:"gawk" ~input:"tiny" () in
+     Lp_trace.Trace.tile tr (1 + (100_000 / tr.Lp_trace.Trace.n_objects)))
+
+(* Major-heap words a streamed pass allocates per object, measured over a
+   source whose header totals are exact.  The lifetime fold keeps two
+   words per allocation and two words and a byte per object, and the
+   audit adds the engine's two per-object tables and one site id per
+   allocation: about 4.1 and 8.1 words here.  The bounds sit below the
+   7.2 and 36.3 words the passes took while the fold copied its tables
+   at [finish] and again at the merge. *)
+let major_words_per_object f =
+  let tr = Lazy.force tiled_trace in
+  let src = Source.of_trace tr in
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  ignore (Sys.opaque_identity (f src));
+  ((Gc.quick_stat ()).Gc.major_words -. before)
+  /. float_of_int tr.Lp_trace.Trace.n_objects
+
+let streamed_passes_hold_few_words_per_object () =
+  List.iter
+    (fun (what, bound, pass) ->
+      let per_object = major_words_per_object pass in
+      if per_object > bound then
+        Alcotest.failf "%s allocates %.1f major words per object (bound %.1f)"
+          what per_object bound)
+    [
+      ( "Lifetimes.summary_source",
+        5.5,
+        fun src -> ignore (Lp_trace.Lifetimes.summary_source ~threshold:32768 src) );
+      ( "Audit.run_source",
+        12.,
+        fun src ->
+          ignore
+            (Lp_analysis.Audit.run_source Lp_analysis.Audit.default_options src)
+      );
+    ]
+
+(* [trace.peak_resident_words] must report the pass's true peak, which the
+   audit and lifetimes merges reach after the stream is drained: compare
+   it with the runtime's own top heap at exit ([OCAMLRUNPARAM=v=0x400]),
+   in a fresh process so earlier tests' heaps do not mask it. *)
+let peak_counter_sees_the_merges () =
+  let lpalloc = Filename.concat (Filename.concat ".." "bin") "lpalloc.exe" in
+  let path = Filename.temp_file "tiled" ".lpt" in
+  let err = Filename.temp_file "tiled" ".err" in
+  Lp_trace.Io.write_file path (Lazy.force tiled_trace);
+  let number_after prefix text =
+    let value line =
+      let line = String.trim line and n = String.length prefix in
+      if String.starts_with ~prefix line then
+        int_of_string_opt (String.trim (String.sub line n (String.length line - n)))
+      else None
+    in
+    match List.find_map value (String.split_on_char '\n' text) with
+    | Some n -> n
+    | None -> Alcotest.failf "no %S line in:\n%s" prefix text
+  in
+  List.iter
+    (fun cmd ->
+      let code =
+        Sys.command
+          (Printf.sprintf "OCAMLRUNPARAM=v=0x400 %s %s --stream --timings %s > %s 2> %s"
+             (Filename.quote lpalloc) cmd (Filename.quote path)
+             (Filename.quote Filename.null) (Filename.quote err))
+      in
+      let text = In_channel.with_open_bin err In_channel.input_all in
+      Alcotest.(check int) (cmd ^ " exits 0") 0 code;
+      let noted = number_after "trace.peak_resident_words" text in
+      let top = number_after "top_heap_words:" text in
+      if noted * 10 < top * 9 then
+        Alcotest.failf "%s: trace.peak_resident_words %d, but the top heap is %d"
+          cmd noted top)
+    [ "audit"; "lifetimes" ];
+  Sys.remove path;
+  Sys.remove err
+
 let suites =
   [
     ( "perf-equivalence",
@@ -457,5 +539,9 @@ let suites =
             p2_observe_allocates_nothing;
           Alcotest.test_case "Source.iter allocates only the events" `Quick
             source_iter_allocates_only_events;
+          Alcotest.test_case "streamed passes hold few words per object"
+            `Quick streamed_passes_hold_few_words_per_object;
+          Alcotest.test_case "peak counter sees the merges" `Quick
+            peak_counter_sees_the_merges;
         ] );
   ]

@@ -362,6 +362,115 @@ let realloc_partition_fold_determinism =
     (QCheck.make realloc_partition_gen)
     check_partition
 
+(* -- the lifetime fold against the frozen pre-fold summary ------------------------ *)
+
+(* Traces the instrumented runtime never writes: object ids allocated
+   out of order (an allocation names any id that is not live, skipping
+   ahead or filling a gap) and ids reused after their free, mixed with
+   resizes and touches.  Every free, resize and touch names a live
+   object, so the v3 writer records carry-in state for them. *)
+let raw_trace_gen =
+  QCheck.Gen.(
+    list_size (int_range 1 80)
+      (triple (int_range 0 9) (int_range 0 39) (int_range 1 300))
+    >|= fun ops ->
+    let funcs = Lp_callchain.Func.create_table () in
+    let main = Lp_callchain.Func.intern funcs "main" in
+    let live = Hashtbl.create 64 in
+    let n_objects = ref 0 in
+    let events =
+      List.filter_map
+        (fun (kind, id, size) ->
+          let live_nth k =
+            let objs =
+              List.sort compare (Hashtbl.fold (fun o s acc -> (o, s) :: acc) live [])
+            in
+            List.nth objs (k mod List.length objs)
+          in
+          let alloc obj =
+            Hashtbl.replace live obj size;
+            n_objects := max !n_objects (obj + 1);
+            Some
+              (Lp_trace.Event.Alloc
+                 { obj; size; chain = id mod 3; key = id mod 5; tag = -1 })
+          in
+          if kind <= 3 || Hashtbl.length live = 0 then
+            if Hashtbl.mem live id then begin
+              Hashtbl.remove live id;
+              Some (Lp_trace.Event.Free { obj = id; size = -1 })
+            end
+            else alloc id
+          else if kind = 9 then alloc !n_objects
+          else
+            let obj, old_size = live_nth id in
+            match kind with
+            | 4 | 5 ->
+                Hashtbl.remove live obj;
+                Some (Lp_trace.Event.Free { obj; size = -1 })
+            | 6 | 7 ->
+                Hashtbl.replace live obj size;
+                Some
+                  (Lp_trace.Event.Realloc
+                     { obj; old_size; new_size = size; chain = 0; key = 1; tag = -1 })
+            | _ -> Some (Lp_trace.Event.Touch { obj; count = 1 + (size mod 4) }))
+        ops
+    in
+    {
+      Lp_trace.Trace.program = "raw";
+      input = "qcheck";
+      events = Array.of_list events;
+      chains = Array.init 3 (fun i -> Array.make (i + 1) main);
+      funcs;
+      n_objects = !n_objects;
+      instructions = 0;
+      calls = 0;
+      heap_refs = 0;
+      total_refs = 0;
+      obj_refs = Array.make !n_objects 0;
+      tags = [||];
+    })
+
+(* The streamed summary and the merge over a random covering partition of
+   the v3 encoding must both equal the frozen pre-fold summary — the whole
+   histogram state bit for bit, not just its quartiles.  Small chunks make
+   later ranges free and resize objects their range carries in. *)
+let lifetime_fold_matches_reference =
+  QCheck.Test.make ~count:200
+    ~name:"lifetime summaries equal the frozen pre-fold summary"
+    (QCheck.make
+       QCheck.Gen.(
+         quad
+           (frequency
+              [
+                (1, Test_stream.random_trace_gen);
+                (1, Test_stream.random_realloc_trace_gen);
+                (2, raw_trace_gen);
+              ])
+           (int_range 1 400) (int_range 1 12)
+           (list_size (int_range 0 8) (int_range 1 4))))
+    (fun (trace, threshold, chunk_events, cuts) ->
+      let expect =
+        Lifetimes_reference.summary_source ~threshold (Source.of_trace trace)
+      in
+      let state s = Marshal.to_string s [ Marshal.No_sharing ] in
+      let check what (got : Lp_trace.Lifetimes.summary) =
+        if state got <> state expect then
+          QCheck.Test.fail_reportf "%s summary differs from the reference" what;
+        if summary_fingerprint got <> summary_fingerprint expect then
+          QCheck.Test.fail_reportf "%s quartiles differ from the reference" what
+      in
+      check "streamed"
+        (Lp_trace.Lifetimes.summary_source ~threshold (Source.of_trace trace));
+      let sh =
+        Sharded.of_string ~name:"raw.lpt" (B.to_string_v3 ~chunk_events trace)
+      in
+      let ranges = partition_of sh cuts in
+      check
+        (Printf.sprintf "merged (%d ranges)" (List.length ranges))
+        (Lp_trace.Lifetimes.merge_summaries ~threshold
+           (List.map (fun r -> Lp_trace.Lifetimes.fold_range r) ranges));
+      true)
+
 (* deterministic boundary case: with 2-event chunks, object 0's growing
    resize, shrinking resize, and size-declaring free each land in a
    different chunk, so every later range sees the object only through
@@ -572,6 +681,7 @@ let suites =
         QCheck_alcotest.to_alcotest seek_sub_determinism;
         QCheck_alcotest.to_alcotest partition_fold_determinism;
         QCheck_alcotest.to_alcotest realloc_partition_fold_determinism;
+        QCheck_alcotest.to_alcotest lifetime_fold_matches_reference;
         Alcotest.test_case "realloc carry across chunk boundary" `Quick
           realloc_carry_across_chunk_boundary;
         Alcotest.test_case "Shard orchestrators across domain counts" `Quick

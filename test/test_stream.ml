@@ -561,8 +561,15 @@ let grow_basics () =
   Alcotest.(check int) "set value" 99 (Lp_trace.Grow.get g 5);
   Lp_trace.Grow.push g 7;
   Alcotest.(check int) "push appends" 7 (Lp_trace.Grow.get g 6);
-  Alcotest.(check (array int)) "to_array"
-    [| -7; -7; -7; -7; -7; 99; 7 |] (Lp_trace.Grow.to_array g)
+  Alcotest.(check (array int)) "take"
+    [| -7; -7; -7; -7; -7; 99; 7 |] (Lp_trace.Grow.take g);
+  (* a grow filled exactly to its capacity hands its storage over *)
+  let full = Lp_trace.Grow.create 16 in
+  for i = 0 to 15 do
+    Lp_trace.Grow.push full i
+  done;
+  Alcotest.(check bool) "take of a full grow copies nothing" true
+    (Lp_trace.Grow.take full == Lp_trace.Grow.take full)
 
 (* An allocation of size <= 0 (which stats, convert and lint accept) has
    no weight in the byte-weighted lifetime summary: the materialized,
