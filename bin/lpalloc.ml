@@ -172,7 +172,11 @@ let stats_cmd =
     with_timings timings (fun () ->
         set_domains domains;
         let s =
-          if sharded then Lifetime.Shard.stats (load_sharded path)
+          if sharded then
+            Lp_trace.Stats.project
+              (List.hd
+                 (Lifetime.Shard.run ~analyses:[ Lp_trace.Stats.domain ]
+                    (load_sharded path)))
           else if stream then
             io_guard (fun () ->
                 Lp_trace.Stats.compute_source (Lp_trace.Source.of_file path))
@@ -199,7 +203,12 @@ let lifetimes_cmd =
     with_timings timings @@ fun () ->
     set_domains domains;
     let s : Lp_trace.Lifetimes.summary =
-      if sharded then Lifetime.Shard.lifetimes ~threshold (load_sharded path)
+      if sharded then
+        Lp_trace.Lifetimes.project
+          (List.hd
+             (Lifetime.Shard.run
+                ~analyses:[ Lp_trace.Lifetimes.domain ~threshold ]
+                (load_sharded path)))
       else if stream then
         io_guard (fun () ->
             Lp_trace.Lifetimes.summary_source ~threshold
@@ -247,7 +256,13 @@ let train_cmd =
     let program, funcs, clock, table =
       if sharded then begin
         let sh = load_sharded path in
-        let st = Lifetime.Shard.train ~config sh in
+        let st =
+          Lifetime.Train.project
+            (List.hd
+               (Lifetime.Shard.run
+                  ~analyses:[ Lifetime.Train.domain ~config () ]
+                  sh))
+        in
         ( (Lp_trace.Sharded.header sh).Lp_trace.Binio.program,
           Lp_trace.Binio.indexed_funcs (Lp_trace.Sharded.index sh),
           st.Lifetime.Train.end_clock,
@@ -906,8 +921,12 @@ let lint_cmd =
     let diags, rules =
       try
         if sharded && not model_file then
-          ( Lp_analysis.Lint.run_sharded ?only ?disable ~max_chain_depth
-              (Lp_trace.Sharded.load path),
+          ( Lp_analysis.Lint.project
+              (List.hd
+                 (Lifetime.Shard.run
+                    ~analyses:
+                      [ Lp_analysis.Lint.domain ?only ?disable ~max_chain_depth () ]
+                    (Lp_trace.Sharded.load path))),
             Lp_analysis.Lint.rules )
         else if stream && not model_file then
           ( Lp_analysis.Lint.run_source ?only ?disable ~max_chain_depth

@@ -210,20 +210,23 @@ let bench_workload ~program ~input ~scale ~repeat ~domains ~allocators =
     time (fun () -> Lp_trace.Binio.to_string_v3 ~chunk_events trace)
   in
   let sh = Lp_trace.Sharded.of_string ~name:(program ^ "_v3.lpt") encoded_v3 in
+  let shard_train domains =
+    Lifetime.Shard.run ~domains
+      ~analyses:[ Lifetime.Train.domain ~config () ]
+      sh
+  in
   (* level the GC field before each measurement: the fold allocates
      per-allocation arrays, so whichever phase runs second would
      otherwise pay the first's accumulated garbage *)
   Gc.full_major ();
-  let shard_seq_seconds, _ =
-    best_of repeat (fun () -> Lifetime.Shard.train ~domains:1 ~config sh)
-  in
+  let shard_seq_seconds, _ = best_of repeat (fun () -> shard_train 1) in
   (* at one domain the "parallel" phase is literally the same call, and
      re-timing it only measures heap-state drift — reuse the number *)
   let shard_par_seconds =
     if domains <= 1 then shard_seq_seconds
     else begin
       Gc.full_major ();
-      fst (best_of repeat (fun () -> Lifetime.Shard.train ~domains ~config sh))
+      fst (best_of repeat (fun () -> shard_train domains))
     end
   in
   let shard_speedup =

@@ -46,39 +46,39 @@ let rules = Collision.rules @ Coverage.rules @ Liveint.rules
 
 let analyses opts =
   [
-    Absint.Site_profile.domain
+    Site_profile.domain
       {
-        Absint.Site_profile.pc_policy = opts.au_policy;
+        Site_profile.pc_policy = opts.au_policy;
         pc_rounding = opts.au_rounding;
         pc_threshold = opts.au_threshold;
       };
     Liveint.domain;
   ]
 
-let report opts rctx = function
+let report opts src = function
   | [ prof_tok; live_tok ] ->
       let enabled =
         Diagnostic.select ~rules ?only:opts.au_only ?disable:opts.au_disable ()
       in
-      let pf = Absint.Site_profile.project prof_tok in
+      let pf = Site_profile.project prof_tok in
       let lm = Liveint.project live_tok in
       let model_index = Option.map Lifetime.Model.index opts.au_model in
-      Collision.report ?model_index rctx pf
+      Collision.report ?model_index src pf
       @ Coverage.report ?model:opts.au_model ?online:opts.au_online
           ~margin:opts.au_margin pf
-      @ Liveint.report ~hotspot_share:opts.au_hotspot_share rctx lm
+      @ Liveint.report ~hotspot_share:opts.au_hotspot_share src lm
       |> List.filter (fun d -> enabled d.Diagnostic.rule)
   | _ -> invalid_arg "Audit.report: expected two domain tokens"
 
+(* reports run after the pass, against the complete tables *)
 let run_source opts src =
-  let tokens = Absint.run_source ~analyses:(analyses opts) src in
-  report opts (Absint.report_ctx_of_source src) tokens
+  report opts src (Lp_trace.Absint.run_source ~analyses:(analyses opts) src)
 
 let run opts trace = run_source opts (Lp_trace.Source.of_trace trace)
 
 let run_sharded ?domains opts sh =
-  let tokens = Absint.run_sharded ?domains ~analyses:(analyses opts) sh in
-  report opts (Absint.report_ctx_of_sharded sh) tokens
+  report opts (Lp_trace.Sharded.source sh)
+    (Lifetime.Shard.run ?domains ~analyses:(analyses opts) sh)
 
 let clean ds = not (Diagnostic.has_errors ds)
 

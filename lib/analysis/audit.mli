@@ -1,8 +1,9 @@
-(** The trace/model audit: three static analyses over one {!Absint} pass.
+(** The trace/model audit: three static analyses over one
+    {!Lp_trace.Absint} pass.
 
     [lpalloc audit]'s engine.  A single traversal drives two abstract
     domains — the shared per-object/per-site profile
-    ({!Absint.Site_profile}) and the live-interval lattice ({!Liveint})
+    ({!Site_profile}) and the live-interval lattice ({!Liveint})
     — and three reports read the merged summaries:
 
     - {!Collision}: predictor keys shared by distinct call chains whose
@@ -62,8 +63,7 @@ val run_source : options -> Lp_trace.Source.t -> Diagnostic.t list
     source is consumed. *)
 
 val run_sharded : ?domains:int -> options -> Lp_trace.Sharded.t -> Diagnostic.t list
-(** Range-parallel audit over the domain pool
-    ({!Lifetime.Parallel.map_chunks}); identical output to
+(** Range-parallel audit through {!Lifetime.Shard.run}; identical output to
     {!run_source} on the whole trace. *)
 
 val clean : Diagnostic.t list -> bool

@@ -11,7 +11,7 @@
    hardens into an error. *)
 
 open Diagnostic
-module Profile = Absint.Site_profile
+module Profile = Site_profile
 
 let rules =
   [
@@ -37,7 +37,7 @@ let quartiles_of (st : Profile.site) =
     Format.asprintf "%a" Lp_quantile.Histogram.pp_quartiles
       (Lp_quantile.Histogram.quartiles st.st_hist)
 
-let describe rctx (st : Profile.site) =
+let describe src (st : Profile.site) =
   let cls =
     if st.st_count = st.st_short then "all short-lived"
     else
@@ -46,11 +46,11 @@ let describe rctx (st : Profile.site) =
         st.st_count
   in
   Printf.sprintf "%s (depth %d, %d object(s), %s, lifetimes %s)"
-    (Absint.render_chain rctx st.st_chain)
-    (Absint.chain_depth rctx st.st_chain)
+    (Lp_trace.Absint.render_chain src st.st_chain)
+    (Lp_trace.Absint.chain_depth src st.st_chain)
     st.st_count cls (quartiles_of st)
 
-let report ?model_index rctx (pf : Profile.merged) =
+let report ?model_index src (pf : Profile.merged) =
   let out = ref [] in
   Array.iter
     (fun (ky : Profile.key) ->
@@ -92,7 +92,7 @@ let report ?model_index rctx (pf : Profile.merged) =
             Printf.sprintf
               "predictor key shared by %d site(s) with disagreeing lifetime \
                classes: %s vs %s"
-              (List.length members) (describe rctx s) (describe rctx l)
+              (List.length members) (describe src s) (describe src l)
           in
           let d =
             match predicted_short with

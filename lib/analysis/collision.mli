@@ -1,6 +1,6 @@
 (** Chain-key collision detection (the audit's first analysis).
 
-    Scans the merged {!Absint.Site_profile} for predictor keys shared by
+    Scans the merged {!Site_profile} for predictor keys shared by
     concrete sites on distinct call chains whose observed lifetime
     classes disagree — one member all short-lived, another with
     long-lived objects.  Such keys are guaranteed-mispredict points
@@ -15,8 +15,8 @@ val rules : Diagnostic.rule list
 
 val report :
   ?model_index:Lifetime.Model.index ->
-  Absint.report_ctx ->
-  Absint.Site_profile.merged ->
+  Lp_trace.Source.t ->
+  Site_profile.merged ->
   Diagnostic.t list
 (** Diagnostics in key first-appearance order; deterministic across
     materialized, streamed and sharded profiles. *)

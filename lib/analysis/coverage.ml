@@ -10,7 +10,7 @@
    workload audit exits 0. *)
 
 open Diagnostic
-module Profile = Absint.Site_profile
+module Profile = Site_profile
 
 let rules =
   [

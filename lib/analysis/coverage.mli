@@ -1,6 +1,6 @@
 (** Predictor-coverage audit (the audit's second analysis).
 
-    Reads the merged {!Absint.Site_profile} against an optional model:
+    Reads the merged {!Site_profile} against an optional model:
     trace keys the model lacks ([coverage-cold-start], warning — their
     allocations fall to the fallback path), model keys the trace never
     exercises ([coverage-dead-site], info), and keys whose observed
@@ -22,7 +22,7 @@ val report :
   ?model:Lifetime.Model.t ->
   ?online:Lifetime.Oracle.online_params ->
   ?margin:float ->
-  Absint.Site_profile.merged ->
+  Site_profile.merged ->
   Diagnostic.t list
 (** Key-order cold-start, online-cold and sensitivity findings, then
     dead model sites in model-entry order.  Without [model], only

@@ -1,5 +1,6 @@
-(** The trace linter: one streaming pass over a trace's event stream that
-    checks the integrity properties every downstream consumer (training,
+(** The trace linter: one streaming pass over a trace's event stream (a
+    domain of the {!Lp_trace.Absint} fold engine) that checks the
+    integrity properties every downstream consumer (training,
     evaluation, allocator replay) silently assumes.
 
     The paper's whole evaluation is trace-driven, so a single malformed
@@ -52,48 +53,35 @@ val run_source :
   ?max_chain_depth:int ->
   Lp_trace.Source.t ->
   Diagnostic.t list
-(** Lint a streaming event source in one bounded-memory pass — per-object
-    replay state lives in growable arrays sized by the allocation high
-    water mark, never the event count.  Diagnostics are identical to
-    {!run} on the materialized equivalent.  The source is consumed. *)
+(** Lint a streaming event source in one bounded-memory pass:
+    {!Lp_trace.Absint.run_source} of {!domain}.  Per-object replay state
+    lives in growable tables sized by the allocation high water mark,
+    never the event count.  Diagnostics are identical to {!run} on the
+    materialized equivalent.  The source is consumed. *)
 
-(** {1 Sharded linting}
+(** {1 The linter as an engine domain}
 
     The linter's state machine restarts mid-trace from a sharded range's
-    carry-in set, so one trace lints range-parallel: every in-range
-    diagnostic is emitted with the exact absolute indices and messages
-    of the sequential pass, and the two cross-range rules stitch at the
-    merge — [chain-anomaly] dedups to the globally first use,
-    [leaked-at-exit] fires from the overlaid end-of-trace state. *)
+    carry-in set, so one trace lints range-parallel through
+    [Lifetime.Shard.run]: every in-range diagnostic is emitted with the
+    exact absolute indices and messages of the sequential pass, and the
+    two cross-range rules stitch at the merge — [chain-anomaly] dedups
+    to the globally first use, [leaked-at-exit] fires from the
+    end-of-trace state, the ranges' per-object tables overlaid in range
+    order (a single range, every sequential pass, is read in place). *)
 
-type range_report
-
-val run_range :
+val domain :
   ?only:string list ->
   ?disable:string list ->
   ?max_chain_depth:int ->
-  Lp_trace.Sharded.range ->
-  range_report
-(** Lint one chunk range; safe to call on any domain. *)
+  unit ->
+  (module Lp_trace.Absint.DOMAIN)
+(** @raise Invalid_argument on an unknown rule id. *)
 
-val merge_ranges :
-  ?only:string list ->
-  ?disable:string list ->
-  Lp_trace.Sharded.t ->
-  range_report list ->
-  Diagnostic.t list
-(** Merge a covering partition's reports (in range order).  Identical to
-    {!run_source} over the whole trace. *)
-
-val run_sharded :
-  ?domains:int ->
-  ?only:string list ->
-  ?disable:string list ->
-  ?max_chain_depth:int ->
-  Lp_trace.Sharded.t ->
-  Diagnostic.t list
-(** {!run_range} over the domain pool ({!Lifetime.Parallel.map_chunks})
-    plus {!merge_ranges}. *)
+val project : Lp_trace.Absint.token -> Diagnostic.t list
+(** Unpack {!domain}'s merged token: the diagnostics in event order,
+    then the leaks in object order.
+    @raise Invalid_argument on a foreign token. *)
 
 val clean : Diagnostic.t list -> bool
 (** No error-severity diagnostics ([lpalloc lint]'s exit-0 predicate). *)

@@ -20,6 +20,7 @@
    short-lived arenas segregate away). *)
 
 open Diagnostic
+module Absint = Lp_trace.Absint
 
 type summary = {
   lv_chains : int array;  (** per local site: birth chain id *)
@@ -53,7 +54,7 @@ type merged = {
 
 type Absint.token += Summary of summary | Merged of merged
 
-let enter (_src : Lp_trace.Source.t) (_en : Absint.entry) =
+let enter (ctx : Absint.ctx) =
   let ids = Lp_trace.Site_intern.create () in
   let net = Lp_trace.Grow.create 256 in
   let relpeak = Lp_trace.Grow.create 256 in
@@ -84,15 +85,15 @@ let enter (_src : Lp_trace.Source.t) (_en : Absint.entry) =
       Lp_trace.Grow.set glive_at_peak id glive_post
     end
   in
-  let step (ctx : Absint.ctx) ev =
+  let step ev =
     let event = ctx.Absint.cx_event in
     let gdelta =
       match ev with
       | Lp_trace.Event.Alloc { size; _ } -> size
       | Lp_trace.Event.Free { obj; _ } ->
-          if obj >= 0 then -ctx.Absint.cx_cur_size obj else 0
+          if obj >= 0 then -Absint.cur_size ctx obj else 0
       | Lp_trace.Event.Realloc { obj; new_size; _ } ->
-          if obj >= 0 then new_size - ctx.Absint.cx_cur_size obj else 0
+          if obj >= 0 then new_size - Absint.cur_size ctx obj else 0
       | Lp_trace.Event.Touch _ -> 0
     in
     let glive_post = ctx.Absint.cx_live_bytes + gdelta in
@@ -104,15 +105,15 @@ let enter (_src : Lp_trace.Source.t) (_en : Absint.entry) =
           (Lp_trace.Grow.get alloc_bytes id + size);
         site_delta ~event ~glive_post id size
     | Lp_trace.Event.Free { obj; _ } ->
-        if ctx.Absint.cx_born obj then
-          let cur = ctx.Absint.cx_cur_size obj in
+        if Absint.born ctx obj then
+          let cur = Absint.cur_size ctx obj in
           site_delta ~event ~glive_post
-            (intern (ctx.Absint.cx_birth_chain obj) cur)
+            (intern (Absint.birth_chain ctx obj) cur)
             (-cur)
     | Lp_trace.Event.Realloc { obj; new_size; _ } ->
-        if ctx.Absint.cx_born obj then begin
-          let chain = ctx.Absint.cx_birth_chain obj in
-          let cur = ctx.Absint.cx_cur_size obj in
+        if Absint.born ctx obj then begin
+          let chain = Absint.birth_chain ctx obj in
+          let cur = Absint.cur_size ctx obj in
           (* the object's bytes migrate between its birth chain's size
              buckets: close the old interval, open the new one *)
           site_delta ~event ~glive_post (intern chain cur) (-cur);
@@ -230,6 +231,7 @@ let merge tokens =
 let domain : (module Absint.DOMAIN) =
   (module struct
     let name = "live-intervals"
+    let reads_heap = true
     let enter = enter
     let merge = merge
   end)
@@ -256,7 +258,7 @@ let rules =
 
 let default_hotspot_share = 0.25
 
-let report ?(hotspot_share = default_hotspot_share) rctx (m : merged) =
+let report ?(hotspot_share = default_hotspot_share) src (m : merged) =
   let out = ref [] in
   if m.lm_gpeak > min_int && m.lm_gpeak > 0 then begin
     let gpeak = float_of_int m.lm_gpeak in
@@ -272,7 +274,7 @@ let report ?(hotspot_share = default_hotspot_share) rctx (m : merged) =
               ~event:st.li_peak_event
               ~site:
                 (Printf.sprintf "[%s; size=%d]"
-                   (Absint.render_chain rctx st.li_chain)
+                   (Absint.render_chain src st.li_chain)
                    st.li_size)
               (Printf.sprintf
                  "site peaks at %d live bytes (%.0f%% of the global peak %d) \

@@ -1,6 +1,6 @@
 (** Live-interval overlap analysis (the audit's third analysis).
 
-    An {!Absint} domain over the interval lattice per site — a site here
+    An {!Lp_trace.Absint} domain over the interval lattice per site — a site here
     being (birth chain × current size bucket): an allocation opens an
     interval, a free closes it, a realloc migrates the object's bytes
     between size buckets of its birth chain.  Per range it records each
@@ -37,11 +37,11 @@ type merged = {
 type summary
 (** Per-range token payload; an implementation detail of the merge. *)
 
-type Absint.token += Summary of summary | Merged of merged
+type Lp_trace.Absint.token += Summary of summary | Merged of merged
 
-val domain : (module Absint.DOMAIN)
+val domain : (module Lp_trace.Absint.DOMAIN)
 
-val project : Absint.token -> merged
+val project : Lp_trace.Absint.token -> merged
 (** Unpack the merged token. @raise Invalid_argument on foreign tokens. *)
 
 val rules : Diagnostic.rule list
@@ -51,5 +51,5 @@ val default_hotspot_share : float
     bytes each ≥ 25% of the global peak. *)
 
 val report :
-  ?hotspot_share:float -> Absint.report_ctx -> merged -> Diagnostic.t list
+  ?hotspot_share:float -> Lp_trace.Source.t -> merged -> Diagnostic.t list
 (** Hotspots in site first-appearance order, then the global peak. *)

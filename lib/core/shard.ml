@@ -1,26 +1,19 @@
 (** Data-parallel replay of one sharded ([.lpt] v3) trace.
 
-    [Parallel.map_chunks] fans the trace's chunk index over the domain
-    pool as balanced contiguous ranges; each worker replays its range
-    with the fold's range variant (seeded from the range's entry
-    counters and carry-in set) and the deterministic merges reproduce
-    the sequential streaming folds exactly — same values, same
-    histogram state, same table insertion order.  [LPALLOC_DOMAINS=1]
-    degrades to a sequential chunk walk with identical results, which is
-    how the CI gate checks byte-identical JSON at 1 and 4 domains. *)
+    The one fan-out of every [--sharded] pass: [Parallel.map_chunks]
+    spreads the trace's chunk index over the domain pool as balanced
+    contiguous ranges, each worker replays its range under the fold
+    engine ({!Lp_trace.Absint.run_range}, seeded from the range's entry
+    counters and carry-in set and sized from its footer ids), and the
+    domains' merges, walked in range order, reproduce the sequential
+    streaming folds exactly — same values, same histogram state, same
+    table insertion order.  [LPALLOC_DOMAINS=1] degrades to one range,
+    the whole trace, with identical results, which is how the CI gate
+    checks byte-identical output at 1 and 4 domains. *)
 
-let map_ranges ?domains (sh : Lp_trace.Sharded.t) f =
-  Parallel.map_chunks ?domains ~n_chunks:(Lp_trace.Sharded.n_chunks sh)
-    (fun ~first ~count -> f (Lp_trace.Sharded.range sh ~first ~count))
-
-let stats ?domains sh =
-  Lp_trace.Stats.merge_ranges sh
-    (map_ranges ?domains sh Lp_trace.Stats.compute_range)
-
-let lifetimes ?domains ~threshold sh =
-  Lp_trace.Lifetimes.merge_summaries ~threshold
-    (map_ranges ?domains sh (fun rg -> Lp_trace.Lifetimes.fold_range rg))
-
-let train ?domains ?config sh =
-  Train.merge_ranges ?config sh
-    (map_ranges ?domains sh (fun rg -> Train.collect_range ?config rg))
+let run ?domains ~analyses (sh : Lp_trace.Sharded.t) =
+  Lp_trace.Absint.merge_ranges ~analyses
+    (Parallel.map_chunks ?domains ~n_chunks:(Lp_trace.Sharded.n_chunks sh)
+       (fun ~first ~count ->
+         Lp_trace.Absint.run_range ~analyses
+           (Lp_trace.Sharded.range sh ~first ~count)))

@@ -23,6 +23,7 @@ module Site = Lp_callchain.Site
 module Site_intern = Lp_trace.Site_intern
 module Grow = Lp_trace.Grow
 module Lifetimes = Lp_trace.Lifetimes
+module Absint = Lp_trace.Absint
 module Timings = Lp_obs.Timings
 
 type site_table = Site_stats.t Site.Table.t
@@ -149,117 +150,96 @@ type streamed = {
   n_objects : int;
 }
 
-(* Streaming training: one pass over a source, never materializing the
-   event array.  Per-object lifetime state and one record per allocation
-   (object, size, chain or key) are retained — memory scales with the
-   allocation count, not the event count — and the profile observes the
-   allocations in allocation-event order once the lifetimes are final,
-   so the table equals [collect] on the materialized trace. *)
-let collect_source ?(config = Config.default) (src : Lp_trace.Source.t) :
-    streamed =
-  let by_key = keyed_by_key config.policy in
-  let p, end_clock =
-    Timings.time ~stage:"train/profile" (fun () ->
-        let hint =
-          match src.Lp_trace.Source.n_objects_hint with
-          | Some n -> n
-          | None -> 1024
-        in
-        let a_obj = Grow.create 1024 in
-        let a_size = Grow.create 1024 in
-        let a_ck = Grow.create 1024 in
-        let birth = Grow.create hint in
-        let lifetime = Grow.create hint in
-        let survived = Grow.create ~default:1 hint in
-        let clock = ref 0 in
-        Lp_trace.Source.iter
-          (function
-            | Lp_trace.Event.Alloc { obj; size; chain; key; _ } ->
-                Grow.push a_obj obj;
-                Grow.push a_size size;
-                Grow.push a_ck (if by_key then key else chain);
-                Grow.set birth obj !clock;
-                clock := !clock + size
-            | Lp_trace.Event.Free { obj; _ } ->
-                Grow.set lifetime obj (!clock - Grow.get birth obj);
-                Grow.set survived obj 0
-            | Lp_trace.Event.Realloc { old_size; new_size; _ } ->
-                (* training observes sites at allocation only; a resize
-                   just advances the clock, like the lifetime folds *)
-                clock := !clock + max 0 (new_size - old_size)
-            | Lp_trace.Event.Touch _ -> ())
-          src;
-        let end_clock = !clock in
-        let n_allocs = Grow.length a_obj in
-        let b = builder ~by_key n_allocs in
-        for i = 0 to n_allocs - 1 do
-          let obj = Grow.get a_obj i in
-          let surv = Grow.get survived obj = 1 in
-          observe b ~ck:(Grow.get a_ck i) ~size:(Grow.get a_size i)
-            ~lifetime:
-              (if surv then end_clock - Grow.get birth obj
-               else Grow.get lifetime obj)
-            ~survived:surv
-            ~refs:(src.Lp_trace.Source.refs_of obj)
-        done;
-        (finish b ~chain_of:src.Lp_trace.Source.chain, end_clock))
-  in
-  {
-    table = derive ~config p;
-    end_clock;
-    n_objects = src.Lp_trace.Source.n_objects_now ();
-  }
-
-(* Sharded training: each range records the chain (or key) of its
-   allocations next to [Lifetimes.fold_range]'s lifetime state inside the
-   parallel section.  The merge profiles the allocations in global
-   allocation order, so the table is identical to [collect_source] over
-   the whole stream. *)
-type range_collected = {
-  rc_ck : int array;  (** one per allocation, range event order *)
+(* Streamed training as an engine domain.  Each range records the chain
+   (or key) of its allocations next to a [Lifetimes.Fold]; the merge
+   resolves the folds and profiles the allocations in global allocation
+   order, reading reference counts and chains from the drained source
+   (a sharded range's source carries the whole trace's tables), so the
+   table equals [collect] on the materialized trace whatever the
+   partition.  Memory scales with the allocation count, not the event
+   count. *)
+type range = {
+  rc_ck : int array;  (* one per allocation, range event order *)
   rc_fold : Lifetimes.range_fold;
+  rc_src : Lp_trace.Source.t;
 }
 
-let collect_range ?(config = Config.default) (rg : Lp_trace.Sharded.range) =
-  let by_key = keyed_by_key config.policy in
-  let ck = Grow.create 1024 in
-  let fold =
-    Lifetimes.fold_range
-      ~on_alloc:(fun _ ~size:_ ~chain ~key ->
-        Grow.push ck (if by_key then key else chain))
-      rg
-  in
-  { rc_ck = Grow.take ck; rc_fold = fold }
+type Absint.token += Range of range | Trained of streamed
 
-let merge_ranges ?(config = Config.default) (sh : Lp_trace.Sharded.t) parts :
-    streamed =
-  let hdr = Lp_trace.Sharded.header sh in
-  let resolved = Lifetimes.resolve (List.map (fun p -> p.rc_fold) parts) in
-  let p =
-    Timings.time ~stage:"train/profile" (fun () ->
-        let n_allocs =
-          List.fold_left (fun n p -> n + Array.length p.rc_ck) 0 parts
-        in
-        let b = builder ~by_key:(keyed_by_key config.policy) n_allocs in
-        List.iter
-          (fun p ->
-            Array.iteri
-              (fun i ck ->
-                let obj = p.rc_fold.Lifetimes.rf_a_obj.(i) in
-                observe b ~ck ~size:p.rc_fold.Lifetimes.rf_a_size.(i)
-                  ~lifetime:(Lifetimes.resolved_lifetime resolved obj)
-                  ~survived:(Lifetimes.resolved_survived resolved obj)
-                  ~refs:hdr.Lp_trace.Binio.obj_refs.(obj))
-              p.rc_ck)
-          parts;
-        finish b
-          ~chain_of:(Lp_trace.Binio.indexed_chain (Lp_trace.Sharded.index sh)))
-  in
-  {
-    table = derive ~config p;
-    end_clock = Lifetimes.resolved_end_clock resolved;
-    n_objects = hdr.Lp_trace.Binio.n_objects;
-  }
+let domain ?(config = Config.default) () : (module Absint.DOMAIN) =
+  let by_key = keyed_by_key config.policy in
+  (module struct
+    let name = "train"
+    let reads_heap = false
+
+    let enter (ctx : Absint.ctx) =
+      let en = ctx.Absint.cx_entry in
+      let ck = Grow.create en.Absint.en_allocs in
+      let fold = Lifetimes.Fold.create en in
+      let step ev =
+        (match ev with
+        | Lp_trace.Event.Alloc { chain; key; _ } ->
+            Grow.push ck (if by_key then key else chain)
+        | _ -> ());
+        Lifetimes.Fold.step fold ev
+      in
+      let finish () =
+        Range
+          {
+            rc_ck = Grow.take ck;
+            rc_fold = Lifetimes.Fold.finish fold;
+            rc_src = ctx.Absint.cx_src;
+          }
+      in
+      (step, finish)
+
+    let merge tokens =
+      let parts =
+        List.map
+          (function
+            | Range r -> r | _ -> invalid_arg "Train.domain: foreign token")
+          tokens
+      in
+      let src =
+        match parts with
+        | p :: _ -> p.rc_src
+        | [] -> invalid_arg "Train.domain: empty partition"
+      in
+      let resolved = Lifetimes.resolve (List.map (fun p -> p.rc_fold) parts) in
+      let p =
+        Timings.time ~stage:"train/profile" (fun () ->
+            let n_allocs =
+              List.fold_left (fun n p -> n + Array.length p.rc_ck) 0 parts
+            in
+            let b = builder ~by_key n_allocs in
+            List.iter
+              (fun p ->
+                Array.iteri
+                  (fun i ck ->
+                    let obj = p.rc_fold.Lifetimes.rf_a_obj.(i) in
+                    observe b ~ck ~size:p.rc_fold.Lifetimes.rf_a_size.(i)
+                      ~lifetime:(Lifetimes.resolved_lifetime resolved obj)
+                      ~survived:(Lifetimes.resolved_survived resolved obj)
+                      ~refs:(src.Lp_trace.Source.refs_of obj))
+                  p.rc_ck)
+              parts;
+            finish b ~chain_of:src.Lp_trace.Source.chain)
+      in
+      Trained
+        {
+          table = derive ~config p;
+          end_clock = Lifetimes.resolved_end_clock resolved;
+          n_objects = src.Lp_trace.Source.n_objects_now ();
+        }
+  end)
+
+let project = function
+  | Trained s -> s
+  | _ -> invalid_arg "Train.project: not a training token"
+
+let collect_source ?config (src : Lp_trace.Source.t) : streamed =
+  project
+    (List.hd (Absint.run_source ~analyses:[ domain ?config () ] src))
 
 let total_sites (table : site_table) = Site.Table.length table
 

@@ -56,9 +56,15 @@ let count_max name n =
         Hashtbl.replace counter_tbl name
           (max n (Option.value ~default:min_int (Hashtbl.find_opt counter_tbl name))))
 
+(* [Gc.quick_stat] reports heap words only once a major cycle has
+   finished, so a short run reads 0 there.  [Gc.stat] walks the whole
+   heap and finishes a cycle, which is cheap only while the heap is that
+   young; it is read on that branch alone. *)
 let note_peak_heap () =
   if enabled () then
-    count_max "trace.peak_resident_words" (Gc.quick_stat ()).Gc.top_heap_words
+    let top = (Gc.quick_stat ()).Gc.top_heap_words in
+    count_max "trace.peak_resident_words"
+      (if top > 0 then top else (Gc.stat ()).Gc.top_heap_words)
 
 let stages () =
   Mutex.protect lock (fun () -> Hashtbl.fold (fun _ s acc -> s :: acc) stage_tbl [])

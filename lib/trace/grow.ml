@@ -5,37 +5,90 @@ let create ?(default = 0) hint =
 
 let length t = t.len
 
+(* [0 <= i < n] for [n >= 0] in one compare: flipping the sign bit turns
+   the unsigned order into the signed one, so a negative [i] reads as
+   larger than any length *)
+let in_bounds (i : int) (n : int) = i lxor min_int < n lxor min_int
+
+(* An index the tables may grow to cover.  A caller that computed the
+   length [i + 1] first would see it wrap to [min_int] at [max_int], skip
+   the growth and write the array's own header word. *)
+let check_index fn i =
+  if not (in_bounds i Sys.max_array_length) then
+    invalid_arg
+      (Printf.sprintf "Grow.%s: index %d outside [0, %d)" fn i
+         Sys.max_array_length)
+
+(* The doubling must clamp at [Sys.max_array_length]: a plain
+   [cap := 2 * !cap] wraps negative for huge [n], escapes the loop and
+   dies inside [Array.make] with a context-free error. *)
+let capacity_for cap n =
+  let cap = ref (max 1 cap) in
+  while n > !cap do
+    cap :=
+      if !cap >= Sys.max_array_length / 2 then Sys.max_array_length
+      else 2 * !cap
+  done;
+  !cap
+
+let widen a ~default i =
+  check_index "widen" i;
+  let n = Array.length a in
+  if i < n then a
+  else begin
+    let grown = Array.make (capacity_for n (i + 1)) default in
+    Array.blit a 0 grown 0 n;
+    grown
+  end
+
+let widen_bytes b i =
+  check_index "widen_bytes" i;
+  let n = Bytes.length b in
+  if i < n then b
+  else begin
+    let grown = Bytes.make (capacity_for n (i + 1)) '\000' in
+    Bytes.blit b 0 grown 0 n;
+    grown
+  end
+
 (* Invariant: data.(i) = default for every i >= len, so extending the
    logical length never needs a fill pass. *)
 let ensure t n =
   if n > Array.length t.data then begin
-    (* The doubling must clamp at [Sys.max_array_length]: a plain
-       [cap := 2 * !cap] wraps negative for huge [n], escapes the loop
-       and dies inside [Array.make] with a context-free error. *)
     if n > Sys.max_array_length then
       failwith
         (Printf.sprintf
            "Grow.ensure: requested length %d exceeds Sys.max_array_length (%d)"
            n Sys.max_array_length);
-    let cap = ref (Array.length t.data) in
-    while n > !cap do
-      cap :=
-        if !cap >= Sys.max_array_length / 2 then Sys.max_array_length
-        else 2 * !cap
-    done;
-    let grown = Array.make !cap t.default in
+    let grown = Array.make (capacity_for (Array.length t.data) n) t.default in
     Array.blit t.data 0 grown 0 t.len;
     t.data <- grown
   end;
   if n > t.len then t.len <- n
 
-let get t i = if i < t.len then Array.unsafe_get t.data i else t.default
+let get t i =
+  if in_bounds i t.len then Array.unsafe_get t.data i
+  else begin
+    check_index "get" i;
+    t.default
+  end
 
 let set t i x =
-  ensure t (i + 1);
+  if in_bounds i (Array.length t.data) then begin
+    Array.unsafe_set t.data i x;
+    if i >= t.len then t.len <- i + 1
+  end
+  else begin
+    check_index "set" i;
+    ensure t (i + 1);
+    Array.unsafe_set t.data i x
+  end
+
+let push t x =
+  let i = t.len in
+  if i >= Array.length t.data then ensure t (i + 1) else t.len <- i + 1;
   Array.unsafe_set t.data i x
 
-let push t x = set t t.len x
 (* hand the storage over when it is exactly full: a table pre-sized from
    an exact hint ends its life without a copy *)
 let take t =

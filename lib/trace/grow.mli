@@ -5,7 +5,12 @@
     dense but a source's object count is only known at exhaustion, so the
     tables grow as ids appear.  Reads beyond the current length return the
     [default], writes extend the length (intermediate slots hold the
-    default). *)
+    default).
+
+    Every index is checked against [\[0, Sys.max_array_length)]: an
+    index outside it (a corrupt trace's object id) raises
+    [Invalid_argument] and leaves the table as it was.  The in-bounds
+    path of {!get} and {!set} is one compare and a branch. *)
 
 type t
 
@@ -17,12 +22,27 @@ val length : t -> int
 (** Highest written index + 1. *)
 
 val ensure : t -> int -> unit
-(** [ensure t n] extends the logical length to at least [n]. *)
+(** [ensure t n] extends the logical length to at least [n].
+    @raise Failure when [n] exceeds [Sys.max_array_length]. *)
 
 val get : t -> int -> int
 val set : t -> int -> int -> unit
 val push : t -> int -> unit
+
 val take : t -> int array
 (** The first [length t] elements.  When the storage is exactly full it
     is handed over, not copied, so the grow must not be written
     afterwards: call it once the table is complete. *)
+
+(** {1 Bare tables}
+
+    For passes that keep a per-object table as a plain array (or a byte
+    per object) and index it themselves: the same doubling and the same
+    index check, on the slow path only. *)
+
+val widen : int array -> default:int -> int -> int array
+(** [widen a ~default i] is [a] when [i] indexes it, else a copy grown
+    by doubling (new slots hold [default]) that [i] indexes. *)
+
+val widen_bytes : Bytes.t -> int -> Bytes.t
+(** {!widen} for a byte per object; new bytes are ['\000']. *)

@@ -62,8 +62,9 @@ let weigh hist ~threshold ~short ~total ~size ~survived lifetime =
    births are absolute clocks, a free's lifetime subtracts either an
    in-range birth or the carried pre-range birth clock, and later ranges
    overwrite earlier ones just as later events overwrite earlier ones.
-   The whole stream is the one-range partition, so [summary_source] is
-   [merge_summaries] of a single fold. *)
+   The fold is the [domain] below, and the whole stream is the engine's
+   one-range partition, so [summary_source] is [merge_summaries] of a
+   single fold. *)
 type range_fold = {
   rf_a_obj : int array;
   rf_a_size : int array;
@@ -76,20 +77,6 @@ type range_fold = {
 let born = 1
 let freed = 2
 
-(* Capacity hints from a source's header totals: the object count for
-   the per-object tables, and for the per-allocation ones the object
-   count capped by the event count (a range of a sharded trace holds
-   fewer allocations than the trace has objects).  Both are exact for a
-   whole .lpt trace that allocates each object once, so no table grows
-   and [Fold.finish] copies nothing. *)
-let object_hint (src : Source.t) =
-  match src.Source.n_objects_hint with Some n -> n | None -> 1024
-
-let alloc_hint (src : Source.t) =
-  match src.Source.n_events_hint with
-  | Some e -> min e (object_hint src)
-  | None -> object_hint src
-
 module Fold = struct
   type t = {
     f_a_obj : Grow.t;
@@ -100,32 +87,28 @@ module Fold = struct
     mutable f_clock : int;
   }
 
-  let create (src : Source.t) ~start_clock ~carry =
-    let objects = object_hint src and allocs = alloc_hint src in
+  let create (en : Absint.entry) =
+    let objects = max 16 en.Absint.en_objects in
     let t =
       {
-        f_a_obj = Grow.create allocs;
-        f_a_size = Grow.create allocs;
+        f_a_obj = Grow.create en.Absint.en_allocs;
+        f_a_size = Grow.create en.Absint.en_allocs;
         f_birth = Grow.create objects;
         f_life = Grow.create objects;
         f_flags = Bytes.make objects '\000';
-        f_clock = start_clock;
+        f_clock = en.Absint.en_start_clock;
       }
     in
     Array.iter
       (fun (cr : Binio.carry) ->
         Grow.set t.f_birth cr.Binio.cr_obj cr.Binio.cr_birth_clock)
-      carry;
+      en.Absint.en_carry;
     t
 
   (* set a bit of an object's flag byte, growing the bytes by doubling *)
   let mark t obj bit =
-    let n = Bytes.length t.f_flags in
-    if obj >= n then begin
-      let grown = Bytes.make (max (obj + 1) (2 * n)) '\000' in
-      Bytes.blit t.f_flags 0 grown 0 n;
-      t.f_flags <- grown
-    end;
+    if obj < 0 || obj >= Bytes.length t.f_flags then
+      t.f_flags <- Grow.widen_bytes t.f_flags obj;
     Bytes.unsafe_set t.f_flags obj
       (Char.unsafe_chr (Char.code (Bytes.unsafe_get t.f_flags obj) lor bit))
 
@@ -168,25 +151,6 @@ module Fold = struct
       rf_end_clock = t.f_clock;
     }
 end
-
-let fold_source ?on_alloc (src : Source.t) ~start_clock ~carry =
-  let fold = Fold.create src ~start_clock ~carry in
-  (match on_alloc with
-  | None -> Source.iter (Fold.step fold) src
-  | Some f ->
-      Source.iter
-        (fun ev ->
-          (match ev with
-          | Event.Alloc { size; chain; key; _ } -> f src ~size ~chain ~key
-          | _ -> ());
-          Fold.step fold ev)
-        src);
-  Fold.finish fold
-
-let fold_range ?on_alloc (rg : Sharded.range) =
-  fold_source ?on_alloc
-    (Sharded.range_source rg)
-    ~start_clock:rg.Sharded.rg_start_clock ~carry:rg.Sharded.rg_carry
 
 (* the final per-object state of a covering partition, in a fold's
    shape: a single fold (every sequential pass) already is it and is read
@@ -250,8 +214,33 @@ let merge_summaries ~threshold folds =
   Lp_obs.Timings.note_peak_heap ();
   { hist; short_bytes = !short; total_alloc_bytes = !total }
 
+type Absint.token += Range of range_fold | Summary of summary
+
+let domain ~threshold : (module Absint.DOMAIN) =
+  (module struct
+    let name = "lifetimes"
+    let reads_heap = false
+
+    let enter (ctx : Absint.ctx) =
+      let fold = Fold.create ctx.Absint.cx_entry in
+      (Fold.step fold, fun () -> Range (Fold.finish fold))
+
+    let merge tokens =
+      Summary
+        (merge_summaries ~threshold
+           (List.map
+              (function
+                | Range f -> f
+                | _ -> invalid_arg "Lifetimes.domain: foreign token")
+              tokens))
+  end)
+
+let project = function
+  | Summary s -> s
+  | _ -> invalid_arg "Lifetimes.project: not a lifetimes token"
+
 let summary_source ~threshold src =
-  merge_summaries ~threshold [ fold_source src ~start_clock:0 ~carry:[||] ]
+  project (List.hd (Absint.run_source ~analyses:[ domain ~threshold ] src))
 
 let max_live (trace : Trace.t) =
   let sizes = Array.make trace.n_objects 0 in

@@ -6,7 +6,12 @@
     have no death event; they are assigned the bytes remaining until the end
     of the run and flagged [survived], which makes them long-lived for any
     reasonable threshold and matches the conservative treatment a predictor
-    must give them. *)
+    must give them.
+
+    {!compute} reads a materialized trace; every streamed and sharded
+    lifetime pass is the {!Fold} below, run as {!domain} under the
+    {!Absint} engine (directly, or inside the trainer's and the audit's
+    domains). *)
 
 type t = {
   birth_clock : int array;  (** bytes allocated before each object's birth *)
@@ -39,8 +44,8 @@ type summary = {
 
 val summary_source : threshold:int -> Source.t -> summary
 (** Streaming twin of {!compute} plus the byte-weighted histogram fold
-    the [lpalloc lifetimes] command performs: the one-range case of the
-    sharded fold below — one {!range_fold} over the whole source, then
+    the [lpalloc lifetimes] command performs: {!Absint.run_source} of
+    {!domain} — one {!range_fold} over the whole source, then
     {!merge_summaries} of that single fold — so it keeps no per-object
     state of its own and equals the sharded merge by construction.  The
     source is consumed. *)
@@ -61,11 +66,12 @@ val summary_source : threshold:int -> Source.t -> summary
     {b Layout.}  A fold holds two words per allocation and two words
     and a byte per object id below the highest id the stretch wrote:
     nothing else grows with the trace.  Every table is pre-sized from
-    the source's header totals ({!alloc_hint}); for a whole [.lpt] trace
-    that allocates each object once they are exact, so no table grows
-    and {!Fold.finish} hands the storage over without copying.  A
-    source without header totals (a text stream) starts them at 1024
-    slots, and they grow by doubling. *)
+    the entry's capacities ({!Absint.entry}): the source's header totals
+    for a whole source, the range's own footer ids for a sharded range.
+    For a trace that allocates each object once they are exact, so no
+    table grows and {!Fold.finish} hands the storage over without
+    copying.  A source without header totals (a text stream) starts
+    them at 1024 slots, and they grow by doubling. *)
 
 type range_fold = {
   rf_a_obj : int array;  (** objects of the stretch's allocs, event order *)
@@ -82,31 +88,16 @@ type range_fold = {
 (** The three per-object tables have one length: the highest object id
     written, plus one. *)
 
-val alloc_hint : Source.t -> int
-(** The per-allocation capacity the fold pre-sizes from a source: its
-    object count, capped by its event count.  Passes that keep their
-    own per-allocation column beside the fold size it with this. *)
-
-val fold_range :
-  ?on_alloc:(Source.t -> size:int -> chain:int -> key:int -> unit) ->
-  Sharded.range ->
-  range_fold
-(** Replay one range.  [on_alloc] is called at each allocation event
-    before state updates (the trainer derives sites there, keeping the
-    expensive work inside the parallel section). *)
-
-(** The incremental face of {!fold_range}: the same lifetime state
-    machine driven one event at a time, for passes that interleave their
-    own per-event accumulation with the lifetime fold (the audit
-    engine's site analyses).  [create src ~start_clock ~carry] sizes the
-    tables from [src] and seeds the carried birth clocks exactly as
-    {!fold_range} does; {!Fold.step} on every event of the stretch and
-    then {!Fold.finish} yields the same {!range_fold} the one-shot loop
-    produces. *)
+(** The lifetime state machine driven one event at a time, for passes
+    that interleave their own per-event accumulation with the lifetime
+    fold (the trainer, the audit's site profile).  [create en] sizes the
+    tables from the entry's capacities and seeds the carried birth
+    clocks; {!Fold.step} on every event of the stretch and then
+    {!Fold.finish} yields its {!range_fold}. *)
 module Fold : sig
   type t
 
-  val create : Source.t -> start_clock:int -> carry:Binio.carry array -> t
+  val create : Absint.entry -> t
   val step : t -> Event.t -> unit
 
   val finish : t -> range_fold
@@ -133,6 +124,15 @@ val resolved_end_clock : resolved -> int
 val merge_summaries : threshold:int -> range_fold list -> summary
 (** Identical to {!summary_source} over the whole trace when the folds
     cover it in order. *)
+
+val domain : threshold:int -> (module Absint.DOMAIN)
+(** The fold as an engine domain: {!Fold} per range, {!merge_summaries}
+    as the merge.  [lpalloc lifetimes --sharded] runs it through
+    [Lifetime.Shard.run]. *)
+
+val project : Absint.token -> summary
+(** Unpack {!domain}'s merged token.
+    @raise Invalid_argument on a foreign token. *)
 
 val max_live : Trace.t -> int * int
 (** [(max_bytes, max_objects)] — the largest numbers of bytes and of objects

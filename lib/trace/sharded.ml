@@ -37,6 +37,7 @@ type range = {
   rg_first_event : int;
   rg_n_events : int;
   rg_next_obj : int;
+  rg_exit_obj : int;
   rg_start_clock : int;
   rg_live_bytes : int;
   rg_live_objs : int;
@@ -79,6 +80,12 @@ let merge_carry ix ~first ~count ~first_event =
     arr
   end
 
+(* the next dense-birth object id once chunks before [last] have played:
+   the next chunk's entry id, or the header's object count at the end *)
+let exit_obj t ~last =
+  if last < n_chunks t then (chunks t).(last).Binio.ch_next_obj
+  else (header t).Binio.n_objects
+
 let range t ~first ~count =
   let n = n_chunks t in
   if first < 0 || count < 0 || first + count > n then
@@ -97,6 +104,7 @@ let range t ~first ~count =
       rg_first_event = first_event;
       rg_n_events = 0;
       rg_next_obj = (if first < n then ch.(first).Binio.ch_next_obj else 0);
+      rg_exit_obj = exit_obj t ~last:first;
       rg_start_clock =
         (if first < n then ch.(first).Binio.ch_start_clock else 0);
       rg_live_bytes = (if first < n then ch.(first).Binio.ch_live_bytes else 0);
@@ -117,6 +125,7 @@ let range t ~first ~count =
       rg_first_event = first_event;
       rg_n_events = n_events;
       rg_next_obj = entry.Binio.ch_next_obj;
+      rg_exit_obj = exit_obj t ~last:(first + count);
       rg_start_clock = entry.Binio.ch_start_clock;
       rg_live_bytes = entry.Binio.ch_live_bytes;
       rg_live_objs = entry.Binio.ch_live_objs;

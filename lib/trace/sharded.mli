@@ -37,6 +37,10 @@ type range = {
   rg_first_event : int;  (** global index of the range's first event *)
   rg_n_events : int;
   rg_next_obj : int;  (** next dense-birth object id at range entry *)
+  rg_exit_obj : int;
+      (** next dense-birth object id at range exit: the next chunk's entry
+          id, or the header's object count for a range that ends the
+          trace *)
   rg_start_clock : int;  (** bytes allocated before the range *)
   rg_live_bytes : int;  (** live bytes at range entry *)
   rg_live_objs : int;  (** live objects at range entry *)

@@ -35,147 +35,94 @@ let compute (trace : Trace.t) =
       (if total_objects = 0 then 0. else float_of_int total_bytes /. float_of_int total_objects);
   }
 
-(* The streaming twin of [compute]: one bounded-memory pass over a source
-   — per-object sizes in a growable array (for the live-bytes high water
-   mark), everything else a handful of scalars.  Identical fields to
-   [compute] on the materialized equivalent; the source is consumed. *)
-let compute_source (src : Source.t) =
-  let hint =
-    match src.Source.n_objects_hint with Some n -> max 1 n | None -> 1024
-  in
-  let sizes = Grow.create hint in
-  let total_bytes = ref 0 in
-  let live_bytes = ref 0 and live_objs = ref 0 in
+(* The streaming twin of [compute], as an engine domain.  The engine
+   already keeps the clock, the live counters and each object's current
+   size, so a range only records the maxima after each allocation and
+   resize, and reads the header fields from its source once drained (a
+   sharded range's source reports the whole trace's).  The sequential
+   code updates its maxima at those events only, so the global maxima
+   are the max over the ranges' candidates (0, the sequential initial
+   value, is the identity for a range without allocations), and the
+   total is the last range's absolute end clock. *)
+type Absint.token += Range of t | Merged of t
+
+let enter (ctx : Absint.ctx) =
   let max_bytes = ref 0 and max_objs = ref 0 in
-  Source.iter
-    (function
-      | Event.Alloc { obj; size; _ } ->
-          Grow.set sizes obj size;
-          total_bytes := !total_bytes + size;
-          live_bytes := !live_bytes + size;
-          incr live_objs;
-          if !live_bytes > !max_bytes then max_bytes := !live_bytes;
-          if !live_objs > !max_objs then max_objs := !live_objs
-      | Event.Free { obj; _ } ->
-          live_bytes := !live_bytes - Grow.get sizes obj;
-          decr live_objs
-      | Event.Realloc { obj; old_size; new_size; _ } ->
-          (* the clock charges the declared grown delta (as
-             [Trace.total_bytes] does); live bytes swap the tracked
-             current size for the new one (as the free path subtracts) *)
-          total_bytes := !total_bytes + max 0 (new_size - old_size);
-          live_bytes := !live_bytes - Grow.get sizes obj + new_size;
-          Grow.set sizes obj new_size;
-          if !live_bytes > !max_bytes then max_bytes := !live_bytes
-      | Event.Touch _ -> ())
-    src;
-  let c = Source.counters src in
-  let total_objects = Source.n_objects src in
-  let heap_ref_pct =
-    if c.Source.total_refs = 0 then 0.
-    else
-      100. *. float_of_int c.Source.heap_refs /. float_of_int c.Source.total_refs
+  let peak live_bytes =
+    if live_bytes > !max_bytes then max_bytes := live_bytes
   in
-  {
-    program = src.Source.program;
-    input = src.Source.input;
-    instructions = c.Source.instructions;
-    calls = c.Source.calls;
-    total_bytes = !total_bytes;
-    total_objects;
-    max_bytes = !max_bytes;
-    max_objects = !max_objs;
-    heap_ref_pct;
-    distinct_chains = src.Source.n_chains ();
-    mean_object_size =
-      (if total_objects = 0 then 0.
-       else float_of_int !total_bytes /. float_of_int total_objects);
-  }
+  let step = function
+    | Event.Alloc { size; _ } ->
+        peak (ctx.Absint.cx_live_bytes + size);
+        let live_objs = ctx.Absint.cx_live_objs + 1 in
+        if live_objs > !max_objs then max_objs := live_objs
+    | Event.Realloc { obj; new_size; _ } ->
+        (* live bytes swap the tracked current size for the new one, as
+           the engine's free path subtracts it *)
+        if obj >= 0 then
+          peak (ctx.Absint.cx_live_bytes - Absint.cur_size ctx obj + new_size)
+        else peak ctx.Absint.cx_live_bytes
+    | Event.Free _ | Event.Touch _ -> ()
+  in
+  let finish () =
+    let src = ctx.Absint.cx_src in
+    let c = Source.counters src in
+    let total_bytes = ctx.Absint.cx_clock in
+    let total_objects = Source.n_objects src in
+    Range
+      {
+        program = src.Source.program;
+        input = src.Source.input;
+        instructions = c.Source.instructions;
+        calls = c.Source.calls;
+        total_bytes;
+        total_objects;
+        max_bytes = !max_bytes;
+        max_objects = !max_objs;
+        heap_ref_pct =
+          (if c.Source.total_refs = 0 then 0.
+           else
+             100. *. float_of_int c.Source.heap_refs
+             /. float_of_int c.Source.total_refs);
+        distinct_chains = src.Source.n_chains ();
+        mean_object_size =
+          (if total_objects = 0 then 0.
+           else float_of_int total_bytes /. float_of_int total_objects);
+      }
+  in
+  (step, finish)
 
-(* The range quarter of [compute_source].  Live counters are absolute
-   (seeded from the range's footer entry), the per-object size table is
-   preloaded from the carry-in set so a free of an earlier-born object
-   subtracts the same size the sequential pass would, and the maxima are
-   only candidates from this range's allocations — the sequential code
-   updates its maxima at allocations only, so the global maxima are the
-   max over the ranges' candidates (0, the sequential initial value, is
-   the identity for a range without allocations). *)
-type partial = {
-  pt_total_bytes : int;
-  pt_max_bytes : int;
-  pt_max_objects : int;
-}
+let merge tokens =
+  let ranges =
+    List.map
+      (function Range r -> r | _ -> invalid_arg "Stats.domain: foreign token")
+      tokens
+  in
+  match List.rev ranges with
+  | [] -> invalid_arg "Stats.domain: empty partition"
+  | last :: _ ->
+      Merged
+        {
+          last with
+          max_bytes = List.fold_left (fun m r -> max m r.max_bytes) 0 ranges;
+          max_objects =
+            List.fold_left (fun m r -> max m r.max_objects) 0 ranges;
+        }
 
-let compute_range (rg : Sharded.range) =
-  let sizes = Grow.create (max 64 (Array.length rg.Sharded.rg_carry)) in
-  Array.iter
-    (fun (cr : Binio.carry) -> Grow.set sizes cr.Binio.cr_obj cr.Binio.cr_size)
-    rg.Sharded.rg_carry;
-  let total_bytes = ref 0 in
-  let live_bytes = ref rg.Sharded.rg_live_bytes in
-  let live_objs = ref rg.Sharded.rg_live_objs in
-  let max_bytes = ref 0 and max_objs = ref 0 in
-  Source.iter
-    (function
-      | Event.Alloc { obj; size; _ } ->
-          Grow.set sizes obj size;
-          total_bytes := !total_bytes + size;
-          live_bytes := !live_bytes + size;
-          incr live_objs;
-          if !live_bytes > !max_bytes then max_bytes := !live_bytes;
-          if !live_objs > !max_objs then max_objs := !live_objs
-      | Event.Free { obj; _ } ->
-          live_bytes := !live_bytes - Grow.get sizes obj;
-          decr live_objs
-      | Event.Realloc { obj; old_size; new_size; _ } ->
-          (* the clock charges the declared grown delta (as
-             [Trace.total_bytes] does); live bytes swap the tracked
-             current size for the new one (as the free path subtracts) *)
-          total_bytes := !total_bytes + max 0 (new_size - old_size);
-          live_bytes := !live_bytes - Grow.get sizes obj + new_size;
-          Grow.set sizes obj new_size;
-          if !live_bytes > !max_bytes then max_bytes := !live_bytes
-      | Event.Touch _ -> ())
-    (Sharded.range_source rg);
-  {
-    pt_total_bytes = !total_bytes;
-    pt_max_bytes = !max_bytes;
-    pt_max_objects = !max_objs;
-  }
+let domain : (module Absint.DOMAIN) =
+  (module struct
+    let name = "stats"
+    let reads_heap = true
+    let enter = enter
+    let merge = merge
+  end)
 
-let merge_ranges (sh : Sharded.t) partials =
-  let hdr = Sharded.header sh in
-  let total_bytes =
-    List.fold_left (fun acc p -> acc + p.pt_total_bytes) 0 partials
-  in
-  let max_bytes =
-    List.fold_left (fun acc p -> max acc p.pt_max_bytes) 0 partials
-  in
-  let max_objects =
-    List.fold_left (fun acc p -> max acc p.pt_max_objects) 0 partials
-  in
-  let total_objects = hdr.Binio.n_objects in
-  let heap_ref_pct =
-    if hdr.Binio.total_refs = 0 then 0.
-    else
-      100. *. float_of_int hdr.Binio.heap_refs
-      /. float_of_int hdr.Binio.total_refs
-  in
-  {
-    program = hdr.Binio.program;
-    input = hdr.Binio.input;
-    instructions = hdr.Binio.instructions;
-    calls = hdr.Binio.calls;
-    total_bytes;
-    total_objects;
-    max_bytes;
-    max_objects;
-    heap_ref_pct;
-    distinct_chains = Binio.indexed_n_chains (Sharded.index sh);
-    mean_object_size =
-      (if total_objects = 0 then 0.
-       else float_of_int total_bytes /. float_of_int total_objects);
-  }
+let project = function
+  | Merged s -> s
+  | _ -> invalid_arg "Stats.project: not a stats token"
+
+let compute_source src =
+  project (List.hd (Absint.run_source ~analyses:[ domain ] src))
 
 let pp ppf t =
   Format.fprintf ppf

@@ -1,4 +1,7 @@
-(** Execution-wide statistics of a trace — the quantities of Table 2. *)
+(** Execution-wide statistics of a trace — the quantities of Table 2.
+
+    {!compute} reads a materialized trace; every streamed and sharded
+    pass is the {!domain} under the {!Absint} engine. *)
 
 type t = {
   program : string;
@@ -17,24 +20,19 @@ type t = {
 val compute : Trace.t -> t
 
 val compute_source : Source.t -> t
-(** Streaming twin of {!compute}: one bounded-memory pass over the
-    source (per-object sizes only — memory scales with the object count,
-    not the event count).  Fields are identical to {!compute} on the
-    materialized equivalent.  The source is consumed. *)
+(** Streaming twin of {!compute}: {!Absint.run_source} of {!domain}, one
+    bounded-memory pass whose only per-object state is the engine's.
+    Fields are identical to {!compute} on the materialized equivalent.
+    The source is consumed. *)
 
-type partial = {
-  pt_total_bytes : int;
-  pt_max_bytes : int;  (** max live bytes seen at this range's allocs *)
-  pt_max_objects : int;
-}
-(** The range quarter of {!compute_source} over a sharded trace. *)
+val domain : (module Absint.DOMAIN)
+(** Table 2's statistics as an engine domain: each range records the
+    live-heap maxima after its allocations and resizes, and the merge
+    takes their max and the last range's clock and header fields.
+    [lpalloc stats --sharded] runs it through [Lifetime.Shard.run]. *)
 
-val compute_range : Sharded.range -> partial
-(** Replay one chunk range with absolute live counters (seeded from the
-    range's entry counters and carried object sizes). *)
-
-val merge_ranges : Sharded.t -> partial list -> t
-(** Identical to {!compute_source} over the whole trace when the
-    partials cover it (any order — the merge is a sum and a max). *)
+val project : Absint.token -> t
+(** Unpack {!domain}'s merged token.
+    @raise Invalid_argument on a foreign token. *)
 
 val pp : Format.formatter -> t -> unit

@@ -87,6 +87,14 @@ type parse_state = {
 let fail ~name lineno msg =
   failwith (Printf.sprintf "Textio.input: %s:%d: %s" name lineno msg)
 
+(* Object ids index per-object tables, so one outside
+   [0, Sys.max_array_length) is refused at its line: past the bound the
+   tables cannot grow to it, and a table sized [obj + 1] from [max_int]
+   wraps to a negative length. *)
+let check_obj ~name lineno what obj =
+  if obj < 0 || obj >= Sys.max_array_length then
+    fail ~name lineno (Printf.sprintf "%s of out-of-range object %d" what obj)
+
 let int_field ~name lineno ~field s =
   match int_of_string_opt s with
   | Some v -> v
@@ -150,6 +158,7 @@ let parse_line ~name st lineno line =
       st.total_refs <- int ~field:"total-refs" t
   | [ "a"; obj; size; chain; key; tag; refs ] ->
       let obj = int ~field:"obj" obj in
+      check_obj ~name lineno "alloc" obj;
       st.events <-
         Event.Alloc
           { obj; size = int ~field:"size" size; chain = int ~field:"chain" chain;
@@ -392,8 +401,7 @@ let stream ?(name = "<trace>") next_line =
         None
     | [ "a"; obj; size; chain; key; tag; refs ] ->
         let obj = int ~field:"obj" obj in
-        if obj < 0 then
-          fail ~name !lineno (Printf.sprintf "alloc of out-of-range object %d" obj);
+        check_obj ~name !lineno "alloc" obj;
         let chain = int ~field:"chain" chain in
         if chain < 0 || chain >= !n_chains then
           fail ~name !lineno
@@ -408,17 +416,14 @@ let stream ?(name = "<trace>") next_line =
              { obj; size = int ~field:"size" size; chain; key = int ~field:"key" key; tag })
     | "f" :: obj :: rest ->
         let obj = int ~field:"obj" obj in
-        if obj < 0 then
-          fail ~name !lineno (Printf.sprintf "free of out-of-range object %d" obj);
+        check_obj ~name !lineno "free" obj;
         (match rest with
         | [] -> Some (Event.Free { obj; size = -1 })
         | [ size ] -> Some (Event.Free { obj; size = int ~field:"size" size })
         | _ -> fail ~name !lineno (Printf.sprintf "unrecognised line %S" line))
     | [ "g"; obj; old_size; new_size; chain; key; tag ] ->
         let obj = int ~field:"obj" obj in
-        if obj < 0 then
-          fail ~name !lineno
-            (Printf.sprintf "realloc of out-of-range object %d" obj);
+        check_obj ~name !lineno "realloc" obj;
         let chain = int ~field:"chain" chain in
         if chain < 0 || chain >= !n_chains then
           fail ~name !lineno
@@ -434,8 +439,7 @@ let stream ?(name = "<trace>") next_line =
                key = int ~field:"key" key; tag })
     | [ "r"; obj; count ] ->
         let obj = int ~field:"obj" obj in
-        if obj < 0 then
-          fail ~name !lineno (Printf.sprintf "touch of out-of-range object %d" obj);
+        check_obj ~name !lineno "touch" obj;
         Some (Event.Touch { obj; count = int ~field:"count" count })
     | [ "end" ] ->
         ended := true;

@@ -367,8 +367,8 @@ let training_matches_reference =
                 (Train.collect_source ~config (Lp_trace.Source.of_trace trace))
                   .Train.table;
               check "merge_ranges"
-                (Train.merge_ranges ~config sh
-                   (List.map (Train.collect_range ~config) ranges))
+                (Train.project
+                   (Test_sharded.merged_over (Train.domain ~config ()) ranges))
                   .Train.table;
               check "derive from a shared profile"
                 (Train.derive ~config

@@ -475,7 +475,8 @@ let streamed_passes_hold_few_words_per_object () =
 (* [trace.peak_resident_words] must report the pass's true peak, which the
    audit and lifetimes merges reach after the stream is drained: compare
    it with the runtime's own top heap at exit ([OCAMLRUNPARAM=v=0x400]),
-   in a fresh process so earlier tests' heaps do not mask it. *)
+   in a fresh process so earlier tests' heaps do not mask it — also on a
+   run that ends before any major cycle has finished. *)
 let peak_counter_sees_the_merges () =
   let lpalloc = Filename.concat (Filename.concat ".." "bin") "lpalloc.exe" in
   let path = Filename.temp_file "tiled" ".lpt" in
@@ -508,6 +509,25 @@ let peak_counter_sees_the_merges () =
         Alcotest.failf "%s: trace.peak_resident_words %d, but the top heap is %d"
           cmd noted top)
     [ "audit"; "lifetimes" ];
+  (* a run too short for a major cycle to finish, where [Gc.quick_stat]
+     still reports no heap words *)
+  Lp_trace.Io.write_file path
+    (Lp_workloads.Registry.trace ~scale:0.05 ~program:"perl" ~input:"train" ());
+  let code =
+    Sys.command
+      (Printf.sprintf
+         "OCAMLRUNPARAM=v=0x400 %s lifetimes --stream --timings %s > %s 2> %s"
+         (Filename.quote lpalloc) (Filename.quote path)
+         (Filename.quote Filename.null) (Filename.quote err))
+  in
+  let text = In_channel.with_open_bin err In_channel.input_all in
+  Alcotest.(check int) "short lifetimes exits 0" 0 code;
+  let noted = number_after "trace.peak_resident_words" text in
+  let top = number_after "top_heap_words:" text in
+  if noted = 0 || abs (noted - top) * 10 > top then
+    Alcotest.failf
+      "short lifetimes: trace.peak_resident_words %d, but the top heap is %d"
+      noted top;
   Sys.remove path;
   Sys.remove err
 

@@ -10,6 +10,7 @@ module B = Lp_trace.Binio
 module Source = Lp_trace.Source
 module Sharded = Lp_trace.Sharded
 module D = Lp_analysis.Diagnostic
+module Absint = Lp_trace.Absint
 
 let events src = List.rev (Source.fold (fun acc e -> e :: acc) [] src)
 
@@ -123,6 +124,38 @@ let grow_capacity_overflow () =
   Alcotest.(check int) "contents survive the rejection" 7 (Lp_trace.Grow.get g 2);
   Lp_trace.Grow.ensure g 64;
   Alcotest.(check int) "normal growth still works" 7 (Lp_trace.Grow.get g 2)
+
+(* An index outside [0, Sys.max_array_length) is refused before it
+   touches the storage: [set] at [max_int] used to compute the length
+   [max_int + 1], which wraps negative, skip the growth and write the
+   array's header word; a negative index read or wrote before the data. *)
+let grow_refuses_out_of_range_indices () =
+  let g = Lp_trace.Grow.create ~default:(-1) 4 in
+  Lp_trace.Grow.set g 0 10;
+  Lp_trace.Grow.set g 3 13;
+  let refused what f =
+    match f () with
+    | () -> Alcotest.failf "%s was accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  refused "set max_int" (fun () -> Lp_trace.Grow.set g max_int 1);
+  refused "set -1" (fun () -> Lp_trace.Grow.set g (-1) 1);
+  refused "set max_array_length" (fun () ->
+      Lp_trace.Grow.set g Sys.max_array_length 1);
+  refused "get -1" (fun () -> ignore (Lp_trace.Grow.get g (-1)));
+  refused "get min_int" (fun () -> ignore (Lp_trace.Grow.get g min_int));
+  refused "widen max_int" (fun () ->
+      ignore (Lp_trace.Grow.widen [||] ~default:0 max_int));
+  refused "widen_bytes -1" (fun () ->
+      ignore (Lp_trace.Grow.widen_bytes Bytes.empty (-1)));
+  (* the table is intact: same length, same contents *)
+  Alcotest.(check int) "length" 4 (Lp_trace.Grow.length g);
+  Alcotest.(check (array int)) "contents" [| 10; -1; -1; 13 |]
+    (Array.init 4 (Lp_trace.Grow.get g));
+  Alcotest.(check int) "beyond the length reads the default" (-1)
+    (Lp_trace.Grow.get g (Sys.max_array_length - 1));
+  Lp_trace.Grow.push g 14;
+  Alcotest.(check int) "push still appends" 14 (Lp_trace.Grow.get g 4)
 
 (* -- satellite: no stop-the-world full major per job in parallel fan-out ------------ *)
 
@@ -274,6 +307,16 @@ let partition_of sh cuts =
   in
   go 0 [] cuts
 
+(* one domain's merged token over a covering partition: the engine on
+   each range, the domain's merge in range order *)
+let merged_over d ranges =
+  List.hd
+    (Absint.merge_ranges ~analyses:[ d ]
+       (List.map (Absint.run_range ~analyses:[ d ]) ranges))
+
+(* one domain through the sharded fan-out *)
+let shard_run ?domains d sh = List.hd (Lifetime.Shard.run ?domains ~analyses:[ d ] sh)
+
 let partition_gen =
   QCheck.Gen.(
     triple Test_stream.random_trace_gen (int_range 1 12)
@@ -284,46 +327,66 @@ let realloc_partition_gen =
     triple Test_stream.random_realloc_trace_gen (int_range 1 12)
       (list_size (int_range 0 8) (int_range 1 4)))
 
+(* The streamed pass and a random partition's merge both run the
+   domain's step code, so each is checked against a reference that
+   shares none of it: the materialized [Stats.compute], the frozen
+   pre-fold lifetime summary, the frozen per-allocation trainer and the
+   frozen pre-engine linter. *)
 let check_partition (trace, chunk_events, cuts) =
       let config = Lifetime.Config.default in
       let threshold = 32 in
       let v3 = B.to_string_v3 ~chunk_events trace in
       let sh = Sharded.of_string ~name:"rt.lpt" v3 in
       let ranges = partition_of sh cuts in
+      let n = List.length ranges in
       (* stats *)
-      let st_expect = Lp_trace.Stats.compute_source (Source.of_trace trace) in
-      let st_got =
-        Lp_trace.Stats.merge_ranges sh
-          (List.map Lp_trace.Stats.compute_range ranges)
-      in
+      let st_expect = Lp_trace.Stats.compute trace in
+      if Lp_trace.Stats.compute_source (Source.of_trace trace) <> st_expect then
+        QCheck.Test.fail_reportf "streamed stats differ from Stats.compute";
+      let st_got = Lp_trace.Stats.project (merged_over Lp_trace.Stats.domain ranges) in
       if st_got <> st_expect then
-        QCheck.Test.fail_reportf "stats differ over %d ranges"
-          (List.length ranges);
+        QCheck.Test.fail_reportf "stats differ over %d ranges" n;
       (* lifetimes *)
       let lt_expect =
         summary_fingerprint
-          (Lp_trace.Lifetimes.summary_source ~threshold
-             (Source.of_trace trace))
+          (Lifetimes_reference.summary_source ~threshold (Source.of_trace trace))
       in
+      if
+        summary_fingerprint
+          (Lp_trace.Lifetimes.summary_source ~threshold (Source.of_trace trace))
+        <> lt_expect
+      then
+        QCheck.Test.fail_reportf
+          "streamed lifetime summary differs from the reference";
       let lt_got =
         summary_fingerprint
-          (Lp_trace.Lifetimes.merge_summaries ~threshold
-             (List.map (fun r -> Lp_trace.Lifetimes.fold_range r) ranges))
+          (Lp_trace.Lifetimes.project
+             (merged_over (Lp_trace.Lifetimes.domain ~threshold) ranges))
       in
       if lt_got <> lt_expect then
-        QCheck.Test.fail_reportf "lifetime summaries differ over %d ranges"
-          (List.length ranges);
+        QCheck.Test.fail_reportf "lifetime summaries differ over %d ranges" n;
       (* training *)
       let tr_expect =
+        model_string_of_streamed ~config ~program:trace.Lp_trace.Trace.program
+          ~funcs:trace.Lp_trace.Trace.funcs
+          {
+            Lifetime.Train.table = Train_reference.collect ~config trace;
+            end_clock = Lp_trace.Trace.total_bytes trace;
+            n_objects = trace.Lp_trace.Trace.n_objects;
+          }
+      in
+      let tr_seq =
         let src = Source.of_trace trace in
         let st = Lifetime.Train.collect_source ~config src in
         model_string_of_streamed ~config ~program:src.Source.program
           ~funcs:(src.Source.funcs ()) st
       in
+      if tr_seq <> tr_expect then
+        QCheck.Test.fail_reportf "streamed training differs from the reference";
       let tr_got =
         let st =
-          Lifetime.Train.merge_ranges ~config sh
-            (List.map (fun r -> Lifetime.Train.collect_range ~config r) ranges)
+          Lifetime.Train.project
+            (merged_over (Lifetime.Train.domain ~config ()) ranges)
         in
         model_string_of_streamed ~config
           ~program:(Sharded.header sh).B.program
@@ -331,20 +394,22 @@ let check_partition (trace, chunk_events, cuts) =
           st
       in
       if tr_got <> tr_expect then
-        QCheck.Test.fail_reportf "trained models differ over %d ranges"
-          (List.length ranges);
+        QCheck.Test.fail_reportf "trained models differ over %d ranges" n;
       (* lint *)
       let li_expect =
-        D.list_to_json (Lp_analysis.Lint.run_source (Source.of_trace trace))
+        D.list_to_json (Lint_reference.run_source (Source.of_trace trace))
       in
+      if
+        D.list_to_json (Lp_analysis.Lint.run_source (Source.of_trace trace))
+        <> li_expect
+      then QCheck.Test.fail_reportf "streamed lint differs from the reference";
       let li_got =
         D.list_to_json
-          (Lp_analysis.Lint.merge_ranges sh
-             (List.map (fun r -> Lp_analysis.Lint.run_range r) ranges))
+          (Lp_analysis.Lint.project
+             (merged_over (Lp_analysis.Lint.domain ()) ranges))
       in
       if li_got <> li_expect then
-        QCheck.Test.fail_reportf "lint diagnostics differ over %d ranges"
-          (List.length ranges);
+        QCheck.Test.fail_reportf "lint diagnostics differ over %d ranges" n;
       true
 
 let partition_fold_determinism =
@@ -467,8 +532,8 @@ let lifetime_fold_matches_reference =
       let ranges = partition_of sh cuts in
       check
         (Printf.sprintf "merged (%d ranges)" (List.length ranges))
-        (Lp_trace.Lifetimes.merge_summaries ~threshold
-           (List.map (fun r -> Lp_trace.Lifetimes.fold_range r) ranges));
+        (Lp_trace.Lifetimes.project
+           (merged_over (Lp_trace.Lifetimes.domain ~threshold) ranges));
       true)
 
 (* deterministic boundary case: with 2-event chunks, object 0's growing
@@ -510,13 +575,11 @@ let realloc_carry_across_chunk_boundary () =
   let ranges = partition_of sh (List.init (Sharded.n_chunks sh) (fun _ -> 1)) in
   let st_expect = Lp_trace.Stats.compute_source (Source.of_trace trace) in
   let st_got =
-    Lp_trace.Stats.merge_ranges sh
-      (List.map Lp_trace.Stats.compute_range ranges)
+    Lp_trace.Stats.project (merged_over Lp_trace.Stats.domain ranges)
   in
   if st_got <> st_expect then Alcotest.fail "stats differ across the boundary";
   let diags =
-    Lp_analysis.Lint.merge_ranges sh
-      (List.map (fun r -> Lp_analysis.Lint.run_range r) ranges)
+    Lp_analysis.Lint.project (merged_over (Lp_analysis.Lint.domain ()) ranges)
   in
   Alcotest.(check bool) "range lint sees the declared sizes as correct" false
     (Lp_analysis.Diagnostic.has_errors diags);
@@ -552,25 +615,39 @@ let shard_orchestrators () =
   List.iter
     (fun domains ->
       let tag fmt = Printf.sprintf fmt domains in
-      if Lifetime.Shard.stats ~domains sh <> st_expect then
-        Alcotest.failf "stats differ at %d domains" domains;
-      Alcotest.(check bool)
-        (tag "lifetimes @%d domains")
-        true
-        (summary_fingerprint (Lifetime.Shard.lifetimes ~domains ~threshold sh)
-        = lt_expect);
-      let st = Lifetime.Shard.train ~domains ~config sh in
-      Alcotest.(check string)
-        (tag "model @%d domains")
-        tr_expect
-        (model_string_of_streamed ~config
-           ~program:(Sharded.header sh).B.program
-           ~funcs:(B.indexed_funcs (Sharded.index sh))
-           st);
-      Alcotest.(check string)
-        (tag "lint @%d domains")
-        li_expect
-        (D.list_to_json (Lp_analysis.Lint.run_sharded ~domains sh)))
+      let check_tokens what = function
+        | [ st; lt; tr; li ] ->
+            if Lp_trace.Stats.project st <> st_expect then
+              Alcotest.failf "stats differ at %d domains%s" domains what;
+            Alcotest.(check bool)
+              (tag "lifetimes @%d domains" ^ what)
+              true
+              (summary_fingerprint (Lp_trace.Lifetimes.project lt) = lt_expect);
+            Alcotest.(check string)
+              (tag "model @%d domains" ^ what)
+              tr_expect
+              (model_string_of_streamed ~config
+                 ~program:(Sharded.header sh).B.program
+                 ~funcs:(B.indexed_funcs (Sharded.index sh))
+                 (Lifetime.Train.project tr));
+            Alcotest.(check string)
+              (tag "lint @%d domains" ^ what)
+              li_expect
+              (D.list_to_json (Lp_analysis.Lint.project li))
+        | _ -> Alcotest.fail "one token per domain"
+      in
+      let analyses =
+        [
+          Lp_trace.Stats.domain;
+          Lp_trace.Lifetimes.domain ~threshold;
+          Lifetime.Train.domain ~config ();
+          Lp_analysis.Lint.domain ();
+        ]
+      in
+      (* each domain in its own pass, then all four in one *)
+      check_tokens ""
+        (List.map (fun d -> shard_run ~domains d sh) analyses);
+      check_tokens " (one pass)" (Lifetime.Shard.run ~domains ~analyses sh))
     [ 1; 2; 3 ]
 
 (* -- the empty trace: one empty chunk ----------------------------------------------- *)
@@ -589,10 +666,11 @@ let empty_trace_edge () =
     (events (Sharded.source sh));
   let w = Source.sub (Sharded.source sh) ~first:0 ~count:0 in
   Alcotest.(check (list pass)) "empty sub" [] (events w);
-  let st = Lifetime.Shard.stats ~domains:2 sh in
+  let st = Lp_trace.Stats.project (shard_run ~domains:2 Lp_trace.Stats.domain sh) in
   Alcotest.(check int) "no objects" 0 st.Lp_trace.Stats.total_objects;
   Alcotest.(check (list pass)) "no diagnostics" []
-    (Lp_analysis.Lint.run_sharded ~domains:2 sh)
+    (Lp_analysis.Lint.project
+       (shard_run ~domains:2 (Lp_analysis.Lint.domain ()) sh))
 
 (* -- the corrupt corpus, linted range-parallel -------------------------------------- *)
 
@@ -610,7 +688,9 @@ let lint_sharded_corpus_equivalence () =
       List.iter
         (fun domains ->
           let got =
-            D.list_to_json (Lp_analysis.Lint.run_sharded ~domains sh)
+            D.list_to_json
+              (Lp_analysis.Lint.project
+                 (shard_run ~domains (Lp_analysis.Lint.domain ()) sh))
           in
           Alcotest.(check string)
             (Printf.sprintf "%s @%d domains" file domains)
@@ -703,6 +783,8 @@ let suites =
         Alcotest.test_case "wire codec rejections" `Quick wire_rejections;
         Alcotest.test_case "Grow.ensure clamps at max_array_length" `Quick
           grow_capacity_overflow;
+        Alcotest.test_case "Grow refuses out-of-range indices" `Quick
+          grow_refuses_out_of_range_indices;
         Alcotest.test_case "map_sources full-major policy" `Quick
           map_sources_gc_behavior;
       ] );

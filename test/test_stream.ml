@@ -601,9 +601,12 @@ let lifetimes_skip_weightless_allocations () =
     else
       [
         ( "sharded",
-          Lifetime.Shard.lifetimes ~threshold
-            (Lp_trace.Sharded.of_string
-               (Lp_trace.Binio.to_string_v3 ~chunk_events:1 trace)) );
+          Lp_trace.Lifetimes.project
+            (List.hd
+               (Lifetime.Shard.run
+                  ~analyses:[ Lp_trace.Lifetimes.domain ~threshold ]
+                  (Lp_trace.Sharded.of_string
+                     (Lp_trace.Binio.to_string_v3 ~chunk_events:1 trace)))) );
       ]
   in
   let render (s : Lp_trace.Lifetimes.summary) =

@@ -505,6 +505,52 @@ let convert_negative_size_exit_code () =
     [ "corrupt_traces/nonpositive_size.txt"; negative_size ];
   Sys.remove err
 
+(* An object id outside [0, Sys.max_array_length) would index the
+   per-object tables outside their storage: [max_int] wrapped the tables'
+   growth and corrupted the heap, [-7] crashed the materialized parser.
+   Both text parsers refuse it at its line, so every consumer, streamed
+   or not, exits 2 with a message naming the line and the object. *)
+let out_of_range_object_exit_code () =
+  let lpalloc = Filename.concat (Filename.concat ".." "bin") "lpalloc.exe" in
+  let err = Filename.temp_file "object" ".err" in
+  let out = Filename.temp_file "object" ".lpt" in
+  let run args =
+    Sys.command
+      (String.concat " " (List.map Filename.quote (lpalloc :: args))
+      ^ " > " ^ Filename.quote Filename.null ^ " 2> " ^ Filename.quote err)
+  in
+  List.iter
+    (fun (file, obj) ->
+      let trace = "corrupt_traces/" ^ file in
+      List.iter
+        (fun args ->
+          let what = String.concat " " args in
+          Alcotest.(check int) (what ^ " exits 2") 2 (run args);
+          let msg = In_channel.with_open_bin err In_channel.input_all in
+          List.iter
+            (fun part ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s message names %S (got %S)" what part msg)
+                true (Test_stream.contains msg part))
+            [ trace ^ ":4:"; "alloc of out-of-range object " ^ obj ])
+        (List.concat_map
+           (fun stream ->
+             [
+               [ "stats"; trace ] @ stream;
+               [ "lifetimes"; trace ] @ stream;
+               [ "train"; trace ] @ stream;
+               [ "lint"; trace ] @ stream;
+               [ "audit"; trace ] @ stream;
+               [ "simulate" ] @ stream @ [ "--train"; trace; "--test"; trace ];
+             ])
+           [ []; [ "--stream" ] ]
+        @ [ [ "convert"; trace; "-o"; out ] ]))
+    [
+      ("huge_object.txt", string_of_int max_int); ("negative_object.txt", "-7");
+    ];
+  Sys.remove err;
+  Sys.remove out
+
 (* -- runtime safety ------------------------------------------------------------ *)
 
 let double_free () =
@@ -577,6 +623,8 @@ let suites =
           binio_rejects_negative_fields;
         Alcotest.test_case "convert of a negative size exits 2" `Quick
           convert_negative_size_exit_code;
+        Alcotest.test_case "out-of-range object ids exit 2" `Quick
+          out_of_range_object_exit_code;
         QCheck_alcotest.to_alcotest text_roundtrip_prop;
         QCheck_alcotest.to_alcotest binio_roundtrip_prop;
         QCheck_alcotest.to_alcotest io_detect_prop;
