@@ -365,9 +365,9 @@ let oracle_arg ~cmd =
        no profile run, promoting a site once its last $(i,window) \
        outcomes (at least $(i,promote) of them) were all short-lived and \
        demoting it after $(i,demote) consecutive long-lived outcomes.  \
-       ',' is accepted between parameters too; every parameter is \
-       optional; a malformed spec is a usage error (exit 2).  See the \
-       README's Oracles section for the grammar.%s"
+       Parameters are separated by ':' only, as in allocator specs; \
+       every parameter is optional; a malformed spec is a usage error \
+       (exit 2).  See the README's Oracles section for the grammar.%s"
       (match cmd with
       | "simulate" ->
           "  With $(b,online), $(b,--train) is not needed and is ignored."
@@ -381,16 +381,6 @@ let oracle_arg ~cmd =
   Arg.(value & opt string "static" & info [ "oracle" ] ~docv:"SPEC" ~doc)
 
 let simulate_cmd =
-  let decode_ahead =
-    Arg.(
-      value & flag
-      & info [ "decode-ahead" ]
-          ~doc:
-            "With $(b,--stream): decode each replay's trace on a second \
-             domain running ahead of the simulation (a two-stage pipeline \
-             per job).  Metrics are identical; it pays off when replay jobs \
-             are few relative to cores.")
-  in
   let allocators =
     let doc =
       "Comma-separated allocator backends to replay, by registry name or \
@@ -429,7 +419,7 @@ let simulate_cmd =
              $(b,--oracle online)).")
   in
   let run train_path test_path threshold oracle_spec allocators json domains
-      sanitize stream decode_ahead timings =
+      sanitize stream timings =
     with_timings timings @@ fun () ->
     set_domains domains;
     let spec = oracle_spec_of ~cmd:"simulate" oracle_spec in
@@ -495,8 +485,7 @@ let simulate_cmd =
       io_guard @@ fun () ->
       try
         if stream then
-          Lifetime.Simulate.run_streamed ?allocators ?wrap ~decode_ahead
-            ~config ~oracle
+          Lifetime.Simulate.run_streamed ?allocators ?wrap ~config ~oracle
             ~source:(fun () -> Lp_trace.Source.of_file test_path)
             ()
         else
@@ -532,7 +521,7 @@ let simulate_cmd =
     Term.(
       const run $ train_file $ test_file $ threshold_arg
       $ oracle_arg ~cmd:"simulate" $ allocators $ json_arg $ domains_arg
-      $ sanitize $ stream_arg $ decode_ahead $ timings_arg)
+      $ sanitize $ stream_arg $ timings_arg)
 
 (* -- tune ------------------------------------------------------------------------- *)
 

@@ -5,7 +5,7 @@
     this signature, and the name-keyed {!Registry} hands out backends to
     the simulation pipeline, the CLI and the bench harness.  Adding an
     allocator is therefore a one-file change: implement the signature,
-    register it.
+    then add an entry to the registry's table.
 
     Contract:
     - [create ?base ?hint ()] returns a fresh allocator whose simulated

@@ -390,25 +390,11 @@ let replay_source ?cache ?predictor (src : Lp_trace.Source.t) backend =
         src;
       if !filled > 0 then flush ())
 
-let run_source ?cache ?predictor ?(decode_ahead = false) src
-    ((module B : Backend.BACKEND) as backend) =
+let run_source ?cache ?predictor src ((module B : Backend.BACKEND) as backend) =
   let t0 = Lp_obs.Timings.now () in
-  (* the replay loop below drains the source (or dies with the decode
-     error), satisfying [decode_ahead]'s must-drain contract *)
-  let piped = if decode_ahead then Lp_trace.Source.decode_ahead src else src in
-  let m =
-    match replay_source ?cache ?predictor piped backend with
-    | m -> m
-    | exception e ->
-        (* a replay validation error abandons the stream mid-way; drain
-           the wrapper so the producer domain retires before we re-raise *)
-        let bt = Printexc.get_raw_backtrace () in
-        if decode_ahead then
-          (try Lp_trace.Source.iter ignore piped with _ -> ());
-        Printexc.raise_with_backtrace e bt
-  in
+  let m = replay_source ?cache ?predictor src backend in
   Lp_obs.Timings.record
     ~stage:("replay/" ^ B.name)
-    ~items:(Lp_trace.Source.events_streamed piped)
+    ~items:(Lp_trace.Source.events_streamed src)
     (Lp_obs.Timings.now () -. t0);
   m

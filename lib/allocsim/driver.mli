@@ -114,7 +114,6 @@ val run_named :
 val run_source :
   ?cache:Cache.t ->
   ?predictor:predictor ->
-  ?decode_ahead:bool ->
   Lp_trace.Source.t ->
   Backend.t ->
   Metrics.t
@@ -129,10 +128,4 @@ val run_source :
     events surface as never-allocated frees or pass through as touches.
     An error is raised once the block holding the bad event has been
     read, before any of that block replays.  The source is consumed; a
-    fresh source is needed per replay.
-
-    [decode_ahead] (default false) pipelines the replay: decoding moves
-    to a second domain running ahead of the simulation through
-    {!Lp_trace.Source.decode_ahead}, overlapping the two stages.  The
-    replay per heap stays sequential — metrics are identical either
-    way. *)
+    fresh source is needed per replay. *)

@@ -61,7 +61,9 @@ type t = {
    not for zero-filling tables sized by the trace's object count. *)
 let initial_blocks = 64
 
-let create ?(base = 0) ?hint:_ ?(sbrk_chunk = 8192) ?(policy = First) () =
+let default_sbrk_chunk = 8192
+
+let create ?(base = 0) ?hint:_ ?(sbrk_chunk = default_sbrk_chunk) ?(policy = First) () =
   let store = Array.make (initial_blocks * stride) 0 in
   store.(f_addr) <- -1 (* the sentinel never matches a real address *);
   {
@@ -435,15 +437,14 @@ module Backend : Backend.BACKEND with type t = t = struct
 end
 
 (* Backends over a custom sbrk granularity, for the parameterized
-   [first-fit:sbrk=] / [best-fit:sbrk=] registry specs.  Without
-   [sbrk_chunk] these are exactly [Backend] / [Best_backend]. *)
-let make_backend ?sbrk_chunk ?(policy = First) () : Backend_api.t =
-  match sbrk_chunk with
-  | None -> (
-      match policy with
-      | First -> (module Backend)
-      | Best -> (module Best_backend))
-  | Some sbrk_chunk ->
+   [first-fit:sbrk=] / [best-fit:sbrk=] registry specs.  At the default
+   granularity these are exactly [Backend] / [Best_backend]. *)
+let make_backend ?(sbrk_chunk = default_sbrk_chunk) ?(policy = First) () :
+    Backend_api.t =
+  match policy with
+  | First when sbrk_chunk = default_sbrk_chunk -> (module Backend)
+  | Best when sbrk_chunk = default_sbrk_chunk -> (module Best_backend)
+  | _ ->
       let name = match policy with First -> "first-fit" | Best -> "best-fit" in
       (module struct
         type nonrec t = t

@@ -16,6 +16,9 @@ type policy =
   | First  (** Knuth's first fit with a roving pointer (the paper's baseline) *)
   | Best  (** best fit: whole-list scan for the tightest block (for ablations) *)
 
+val default_sbrk_chunk : int
+(** 8192, matching the 8 KB multiples of the paper's Table 8 heap sizes. *)
+
 val create : ?base:int -> ?hint:int -> ?sbrk_chunk:int -> ?policy:policy -> unit -> t
 (** [base] is the address the heap starts at (default 0; the arena
     allocator puts its arena area below).  [hint] (the expected object
@@ -23,7 +26,7 @@ val create : ?base:int -> ?hint:int -> ?sbrk_chunk:int -> ?policy:policy -> unit
     payload-address map start small and grow with the heap, so creating
     an allocator costs the same for any trace.
     [sbrk_chunk] is the granularity of simulated [sbrk] growth (default
-    8192, matching the 8 KB multiples of the paper's Table 8 heap sizes).
+    {!default_sbrk_chunk}).
     [policy] defaults to {!First}. *)
 
 val alloc : t -> int -> int
@@ -64,7 +67,7 @@ val check_invariants : t -> unit
 
 val make_backend : ?sbrk_chunk:int -> ?policy:policy -> unit -> Backend.t
 (** A registry backend over a custom sbrk granularity (the
-    [first-fit:sbrk=<n>] / [best-fit:sbrk=<n>] specs).  Without
+    [first-fit:sbrk=<n>] / [best-fit:sbrk=<n>] specs).  At the default
     [sbrk_chunk] this is exactly [Backend] (policy {!First}) or
     [Best_backend] (policy {!Best}). *)
 

@@ -1,313 +1,135 @@
 type entry = {
-  name : string;
-  aliases : string list;
-  doc : string;
-  make : ?arena_config:Arena.config -> unit -> Backend.t;
+  member : Spec.member;
+  build : ?arena_config:Arena.config -> Spec.t -> Backend.t;
 }
 
-let entries : entry list ref = ref []
+let sbrk =
+  {
+    Spec.key = "sbrk";
+    kind = Bounded { lo = 8; hi = None; multiple = Some 8 };
+    default = Int First_fit.default_sbrk_chunk;
+    grammar = "<bytes>";
+    doc = "simulated sbrk granularity: positive multiple of 8";
+  }
 
-let register ~name ?(aliases = []) ~doc make =
-  if List.exists (fun e -> e.name = name) !entries then
-    invalid_arg (Printf.sprintf "Registry.register: duplicate backend %S" name);
-  entries := !entries @ [ { name; aliases; doc; make } ]
+let freelist name aliases policy =
+  {
+    member = { name; aliases; doc = ""; rows = [ sbrk ] };
+    build =
+      (fun ?arena_config:_ t ->
+        First_fit.make_backend ~sbrk_chunk:(Spec.int t "sbrk") ~policy ());
+  }
 
-let all () = !entries
-let names () = List.map (fun e -> e.name) !entries
+(* In table order.  [arena] builds its fallback, another entry, hence
+   the recursion. *)
+let rec entries =
+  [
+    (* first fit with a roving pointer and boundary-tag coalescing (the
+       paper's baseline) *)
+    freelist "first-fit" [ "ff" ] First_fit.First;
+    (* whole-free-list best fit: tighter packing, longer searches *)
+    freelist "best-fit" [ "bf" ] First_fit.Best;
+    (* 4.2BSD (Kingsley) power-of-two buckets, never coalesced *)
+    {
+      member = { name = "bsd"; aliases = []; doc = ""; rows = [] };
+      build = (fun ?arena_config:_ _ -> (module Bsd.Backend));
+    };
+    (* segregated fit: size-class slabs with page recycling (modern design) *)
+    {
+      member =
+        {
+          name = "segfit";
+          aliases = [ "seg" ];
+          doc = "";
+          rows =
+            [
+              {
+                key = "slab";
+                kind = Ladder { lo = 16; hi = 4096; multiple = 16; max_len = 128 };
+                default = Ints Segfit.default_classes;
+                grammar = "<n>+<n>+...";
+                doc =
+                  "slab cell-size ladder: strictly ascending multiples of 16 \
+                   in [16, 4096], at most 128 entries";
+              };
+            ];
+        };
+      build =
+        (fun ?arena_config:_ t -> Segfit.make_backend ~classes:(Spec.ints t "slab") ());
+    };
+    (* lifetime-predicting arenas over a fallback (the paper's allocator);
+       [arena_config] stands in for the defaults of [n] and [chunk] *)
+    {
+      member =
+        {
+          name = "arena";
+          aliases = [];
+          doc = "";
+          rows =
+            [
+              {
+                key = "n";
+                kind = Bounded { lo = 1; hi = Some 4096; multiple = None };
+                default = Int Arena.default_config.n_arenas;
+                grammar = "<count>";
+                doc = "number of arenas, in [1, 4096]";
+              };
+              {
+                key = "chunk";
+                kind = Bounded { lo = 64; hi = Some 1048576; multiple = None };
+                default = Int Arena.default_config.arena_size;
+                grammar = "<bytes>";
+                doc = "per-arena size in bytes, in [64, 1048576]";
+              };
+              {
+                key = "fallback";
+                kind = Member;
+                default = Name "first-fit";
+                grammar = "<name>";
+                doc =
+                  "general-purpose fallback backend: any plain backend name \
+                   except arena";
+              };
+            ];
+        };
+      build =
+        (fun ?(arena_config = Arena.default_config) t ->
+          let config =
+            {
+              Arena.n_arenas = Spec.int ~default:arena_config.n_arenas t "n";
+              arena_size = Spec.int ~default:arena_config.arena_size t "chunk";
+            }
+          in
+          let fallback =
+            build (Spec.bare (find_entry (Spec.text t "fallback")).member)
+          in
+          Arena.backend ~config ~fallback ());
+    };
+  ]
 
-let find_opt name =
-  List.find_opt (fun e -> e.name = name || List.mem name e.aliases) !entries
+and find_entry name = List.find (fun e -> e.member.Spec.name = name) entries
 
-let mem name = find_opt name <> None
+and build ?arena_config t = (find_entry (Spec.name t)).build ?arena_config t
+
+let family =
+  {
+    Spec.noun = "backend";
+    full_noun = "allocator backend";
+    members = List.map (fun e -> e.member) entries;
+  }
+
+let names () = Spec.names family
 
 let find name =
-  match find_opt name with
-  | Some e -> e
-  | None ->
-      failwith
-        (Printf.sprintf "unknown allocator backend %S (known: %s)" name
-           (String.concat ", " (names ())))
+  match Spec.find family name with
+  | Some m -> m
+  | None -> failwith (Spec.unknown family name)
 
-let backend ?arena_config name = (find name).make ?arena_config ()
-
+let backend ?arena_config name = build ?arena_config (Spec.bare (find name))
 let canonical_name name = (find name).name
 
-(* -- parameterized backend specs ---------------------------------------------------
-
-   A spec is [name:key=value:key=value...]; the name may be an alias, ':'
-   separates parameters (',' stays the CLI's list separator) and
-   list-valued parameters use '+' between elements.  Parsing returns
-   [Error] with a one-line reason — the CLIs turn that into a usage error
-   (exit 2) — and never raises.  A spec with every parameter at its
-   default builds the very same backend as the plain name (the qcheck
-   equivalence property holds them byte-identical). *)
-
-type spec_param = {
-  key : string;
-  grammar : string;  (* value shape, e.g. "<bytes>" *)
-  param_doc : string;
-  default : string;
-}
-
-let spec_params_of = function
-  | "first-fit" | "best-fit" ->
-      [
-        {
-          key = "sbrk";
-          grammar = "<bytes>";
-          param_doc = "simulated sbrk granularity: positive multiple of 8";
-          default = "8192";
-        };
-      ]
-  | "segfit" ->
-      [
-        {
-          key = "slab";
-          grammar = "<n>+<n>+...";
-          param_doc =
-            "slab cell-size ladder: strictly ascending multiples of 16 in \
-             [16, 4096], at most 128 entries";
-          default = "16+32+64+128+256+512+1024+2048";
-        };
-      ]
-  | "arena" ->
-      [
-        {
-          key = "n";
-          grammar = "<count>";
-          param_doc = "number of arenas, in [1, 4096]";
-          default = "16";
-        };
-        {
-          key = "chunk";
-          grammar = "<bytes>";
-          param_doc = "per-arena size in bytes, in [64, 1048576]";
-          default = "4096";
-        };
-        {
-          key = "fallback";
-          grammar = "<name>";
-          param_doc =
-            "general-purpose fallback backend: any plain backend name \
-             except arena";
-          default = "first-fit";
-        };
-      ]
-  | _ -> []
-
-let spec_error spec fmt =
-  Printf.ksprintf (fun msg -> Error (Printf.sprintf "%s (in spec %S)" msg spec)) fmt
-
-let ( let* ) = Result.bind
-
-let int_value spec ~key v =
-  match int_of_string_opt v with
-  | Some n -> Ok n
-  | None -> spec_error spec "parameter %s: %S is not an integer" key v
-
-let parse_slab spec v =
-  let* cells =
-    List.fold_left
-      (fun acc part ->
-        let* acc = acc in
-        let* n = int_value spec ~key:"slab" part in
-        Ok (n :: acc))
-      (Ok [])
-      (String.split_on_char '+' v)
-  in
-  let cells = Array.of_list (List.rev cells) in
-  if Array.length cells = 0 then spec_error spec "parameter slab: empty ladder"
-  else if Array.length cells > 128 then
-    spec_error spec "parameter slab: %d classes (at most 128)" (Array.length cells)
-  else
-    let bad = ref None in
-    Array.iteri
-      (fun i c ->
-        if !bad = None then
-          if c mod 16 <> 0 then
-            bad := Some (Printf.sprintf "class %d is not a multiple of 16" c)
-          else if c < 16 || c > 4096 then
-            bad := Some (Printf.sprintf "class %d outside [16, 4096]" c)
-          else if i > 0 && c <= cells.(i - 1) then
-            bad := Some (Printf.sprintf "classes not strictly ascending at %d" c))
-      cells;
-    match !bad with
-    | Some msg -> spec_error spec "parameter slab: %s" msg
-    | None -> Ok cells
-
-(* Split [name:k=v:...]; every parameter key must belong to the backend's
-   grammar, appear at most once, and carry a well-formed value. *)
-let parse_spec spec =
-  match String.split_on_char ':' spec with
-  | [] | [ "" ] -> Error (Printf.sprintf "empty backend spec %S" spec)
-  | name :: segments ->
-      let* entry =
-        match find_opt name with
-        | Some e -> Ok e
-        | None ->
-            Error
-              (Printf.sprintf "unknown allocator backend %S (known: %s)" name
-                 (String.concat ", " (names ())))
-      in
-      let params = spec_params_of entry.name in
-      let* kvs =
-        List.fold_left
-          (fun acc seg ->
-            let* acc = acc in
-            match String.index_opt seg '=' with
-            | None ->
-                spec_error spec "bad parameter %S: expected key=value" seg
-            | Some i ->
-                let key = String.sub seg 0 i in
-                let value = String.sub seg (i + 1) (String.length seg - i - 1) in
-                if not (List.exists (fun p -> p.key = key) params) then
-                  if params = [] then
-                    spec_error spec "backend %s takes no parameters" entry.name
-                  else
-                    spec_error spec "unknown parameter %S for %s (valid: %s)"
-                      key entry.name
-                      (String.concat ", " (List.map (fun p -> p.key) params))
-                else if List.mem_assoc key acc then
-                  spec_error spec "duplicate parameter %S" key
-                else Ok (acc @ [ (key, value) ]))
-          (Ok []) segments
-      in
-      Ok (entry, kvs)
-
-(* Validate the values and build the backend.  Defaults fill in anything
-   the spec leaves out; [arena_config] (the simulation {!Config.t}
-   geometry) seeds arena defaults so a bare ["arena"] spec still follows
-   the configured geometry. *)
 let backend_of_spec ?arena_config spec =
-  let* entry, kvs = parse_spec spec in
-  match entry.name with
-  | "first-fit" | "best-fit" ->
-      let* sbrk_chunk =
-        match List.assoc_opt "sbrk" kvs with
-        | None -> Ok None
-        | Some v ->
-            let* n = int_value spec ~key:"sbrk" v in
-            if n <= 0 || n mod 8 <> 0 then
-              spec_error spec "parameter sbrk: %d is not a positive multiple of 8" n
-            else Ok (Some n)
-      in
-      let policy =
-        if entry.name = "best-fit" then First_fit.Best else First_fit.First
-      in
-      Ok (First_fit.make_backend ?sbrk_chunk ~policy ())
-  | "segfit" ->
-      let* classes =
-        match List.assoc_opt "slab" kvs with
-        | None -> Ok None
-        | Some v ->
-            let* cells = parse_slab spec v in
-            Ok (Some cells)
-      in
-      Ok (Segfit.make_backend ?classes ())
-  | "arena" ->
-      let base_config =
-        match arena_config with Some c -> c | None -> Arena.default_config
-      in
-      let* n_arenas =
-        match List.assoc_opt "n" kvs with
-        | None -> Ok base_config.Arena.n_arenas
-        | Some v ->
-            let* n = int_value spec ~key:"n" v in
-            if n < 1 || n > 4096 then
-              spec_error spec "parameter n: %d outside [1, 4096]" n
-            else Ok n
-      in
-      let* arena_size =
-        match List.assoc_opt "chunk" kvs with
-        | None -> Ok base_config.Arena.arena_size
-        | Some v ->
-            let* n = int_value spec ~key:"chunk" v in
-            if n < 64 || n > 1048576 then
-              spec_error spec "parameter chunk: %d outside [64, 1048576]" n
-            else Ok n
-      in
-      let* fallback =
-        match List.assoc_opt "fallback" kvs with
-        | None -> Ok None
-        | Some v -> (
-            match find_opt v with
-            | None ->
-                spec_error spec "parameter fallback: unknown backend %S (known: %s)"
-                  v
-                  (String.concat ", " (names ()))
-            | Some e when e.name = "arena" ->
-                spec_error spec "parameter fallback: must not be arena"
-            | Some e -> Ok (Some (e.make ())))
-      in
-      Ok (Arena.backend ~config:{ Arena.n_arenas; arena_size } ?fallback ())
-  | _ -> Ok (entry.make ?arena_config ())
+  Result.map (build ?arena_config) (Spec.parse family spec)
 
-(* The canonical form: alias resolved, parameters validated, listed in
-   grammar order, defaults dropped — so ["seg:slab=16+32"] and
-   ["segfit:slab=16+32"] collapse, and a spec that only restates defaults
-   collapses to the plain name.  The tuner keys its dedup set on this. *)
-let canonical_spec spec =
-  let* entry, kvs = parse_spec spec in
-  (* surface value errors exactly as backend_of_spec would *)
-  let* _ = backend_of_spec spec in
-  let params = spec_params_of entry.name in
-  let kept =
-    List.filter_map
-      (fun p ->
-        match List.assoc_opt p.key kvs with
-        | None -> None
-        | Some v ->
-            (* normalize integer values; slab ladders are already canonical *)
-            let v =
-              match int_of_string_opt v with
-              | Some n -> string_of_int n
-              | None -> v
-            in
-            let v =
-              if p.key = "fallback" then canonical_name v else v
-            in
-            if v = p.default then None else Some (Printf.sprintf "%s=%s" p.key v))
-      params
-  in
-  Ok (String.concat ":" (entry.name :: kept))
-
-let is_spec s = String.contains s ':'
-
-let grammar_markdown () =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    "| backend | parameter | value | default | meaning |\n\
-     |---|---|---|---|---|\n";
-  List.iter
-    (fun e ->
-      match spec_params_of e.name with
-      | [] ->
-          Buffer.add_string buf
-            (Printf.sprintf "| `%s` | — | — | — | takes no parameters |\n" e.name)
-      | params ->
-          List.iter
-            (fun p ->
-              Buffer.add_string buf
-                (Printf.sprintf "| `%s` | `%s` | `%s` | `%s` | %s |\n" e.name
-                   p.key p.grammar p.default p.param_doc))
-            params)
-    !entries;
-  Buffer.contents buf
-
-(* -- the built-in backends --------------------------------------------------------- *)
-
-let () =
-  register ~name:"first-fit" ~aliases:[ "ff" ]
-    ~doc:"first fit with a roving pointer and boundary-tag coalescing (the paper's baseline)"
-    (fun ?arena_config:_ () -> (module First_fit.Backend));
-  register ~name:"best-fit" ~aliases:[ "bf" ]
-    ~doc:"whole-free-list best fit: tighter packing, longer searches"
-    (fun ?arena_config:_ () -> (module First_fit.Best_backend));
-  register ~name:"bsd" ~doc:"4.2BSD (Kingsley) power-of-two buckets, never coalesced"
-    (fun ?arena_config:_ () -> (module Bsd.Backend));
-  register ~name:"segfit" ~aliases:[ "seg" ]
-    ~doc:"segregated fit: power-of-two size-class slabs with page recycling (modern design)"
-    (fun ?arena_config:_ () -> (module Segfit.Backend));
-  register ~name:"arena"
-    ~doc:"lifetime-predicting arenas over a first-fit fallback (the paper's allocator)"
-    (fun ?arena_config () -> Arena.backend ?config:arena_config ())
+let canonical_spec spec = Result.map Spec.to_string (Spec.parse family spec)
+let grammar_markdown () = Spec.markdown family

@@ -6,79 +6,51 @@
     Five backends are built in: ["first-fit"] (alias [ff]), ["best-fit"]
     (alias [bf]), ["bsd"], ["segfit"] (alias [seg]) and ["arena"].
 
-    To add an allocator: implement {!Backend.BACKEND} and {!register} it
-    (the built-ins register themselves at module load). *)
+    To add an allocator: implement {!Backend.BACKEND} and add an entry,
+    with its parameter rows and a builder, to the table in
+    [registry.ml]. *)
 
-type entry = {
-  name : string;  (** canonical name; also the {!Metrics.t.algorithm} value *)
-  aliases : string list;
-  doc : string;  (** one-line description for [--help] and docs *)
-  make : ?arena_config:Arena.config -> unit -> Backend.t;
-      (** backends without arena geometry ignore [arena_config] *)
-}
-
-val register :
-  name:string ->
-  ?aliases:string list ->
-  doc:string ->
-  (?arena_config:Arena.config -> unit -> Backend.t) ->
-  unit
-(** @raise Invalid_argument on a duplicate name. *)
-
-val all : unit -> entry list
-(** In registration order. *)
+val family : Spec.family
+(** The backends and their parameter rows, in table order. *)
 
 val names : unit -> string list
-
-val mem : string -> bool
-(** True if the name or an alias is registered. *)
-
-val find : string -> entry
-(** Accepts aliases.  @raise Failure on an unknown name, listing the known
-    ones. *)
-
-val find_opt : string -> entry option
+(** Canonical names, in table order. *)
 
 val backend : ?arena_config:Arena.config -> string -> Backend.t
 (** [backend name] instantiates the named backend's module (the allocator
-    state itself is created per replay by {!Driver.run}).
-    @raise Failure on an unknown name. *)
+    state itself is created per replay by {!Driver.run}).  Accepts
+    aliases; backends without arena geometry ignore [arena_config].
+    @raise Failure on an unknown name, listing the known ones. *)
 
 val canonical_name : string -> string
 (** Resolve an alias to the canonical name.  @raise Failure if unknown. *)
 
 (** {2 Parameterized backend specs}
 
-    A spec is [name:key=value:key=value...] — the plain (or aliased)
-    backend name optionally followed by ':'-separated parameters;
-    list-valued parameters separate elements with '+'
+    A spec is [name:key=value:key=value...] in the grammar of {!Spec}
     (e.g. [segfit:slab=16+64+256+1024]).  A spec whose parameters all sit
     at their defaults builds the very same backend as the plain name, so
     metrics stay byte-identical (enforced by the qcheck equivalence
     property).  Parsing never raises: errors come back as [Error reason]
     and the CLIs map them to usage errors (exit 2). *)
 
+val build : ?arena_config:Arena.config -> Spec.t -> Backend.t
+(** Instantiate a spec of {!family}.  [arena_config] stands in for the
+    arena defaults of parameters the spec leaves out, exactly as
+    {!backend} does for the plain name. *)
+
 val backend_of_spec :
   ?arena_config:Arena.config -> string -> (Backend.t, string) result
-(** Parse and instantiate a spec.  Parameters: [first-fit]/[best-fit]
+(** {!Spec.parse} then {!build}.  Parameters: [first-fit]/[best-fit]
     take [sbrk=<bytes>]; [segfit] takes [slab=<n>+<n>+...]; [arena] takes
-    [n=<count>], [chunk=<bytes>] and [fallback=<name>]; [bsd] takes none.
-    [arena_config] seeds the arena defaults for parameters the spec
-    leaves out, exactly as {!backend} does for the plain name. *)
+    [n=<count>], [chunk=<bytes>] and [fallback=<name>]; [bsd] takes none. *)
 
 val canonical_spec : string -> (string, string) result
-(** The canonical form of a spec: alias resolved, parameters validated
-    and listed in grammar order, parameters equal to their default
-    dropped — [seg:slab=16+32] becomes [segfit:slab=16+32] and
-    [arena:n=16] collapses to [arena].  Distinct canonical specs may
-    still denote distinct backends only; the tuner keys candidate dedup
-    on this. *)
-
-val is_spec : string -> bool
-(** True when the string carries parameters (contains ':'). *)
+(** {!Spec.to_string} of the parsed spec: [seg:slab=16+32] becomes
+    [segfit:slab=16+32] and [arena:n=16] collapses to [arena].  The
+    simulation keys a parameterized job on it. *)
 
 val grammar_markdown : unit -> string
-(** The backend parameter grammar as a markdown table, one row per
-    parameter (and one row per parameterless backend) in registration
-    order.  README.md embeds this table verbatim; a drift test keeps the
-    two in sync. *)
+(** The backend parameter grammar as a markdown table ({!Spec.markdown}).
+    README.md embeds this table verbatim; a drift test keeps the two in
+    sync. *)

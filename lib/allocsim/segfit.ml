@@ -367,13 +367,12 @@ end
 (* A segfit backend with a custom cell-size ladder, for parameterized
    `segfit:slab=` registry specs and the tuner.  The default ladder is the
    plain [Backend] (same module, same metrics). *)
-let make_backend ?classes () : Backend_api.t =
-  match classes with
-  | None -> (module Backend)
-  | Some _ ->
-      let create' ?base ?hint () = create ?base ?hint ?classes () in
-      (module struct
-        include Backend
+let make_backend ?(classes = default_classes) () : Backend_api.t =
+  if classes = default_classes then (module Backend)
+  else
+    let create' ?base ?hint () = create ?base ?hint ~classes () in
+    (module struct
+      include Backend
 
-        let create = create'
-      end)
+      let create = create'
+    end)

@@ -54,7 +54,7 @@ val check_invariants : t -> unit
 
 val make_backend : ?classes:int array -> unit -> Backend.t
 (** A segfit backend over a custom cell-size ladder (the
-    [segfit:slab=<list>] registry spec).  Without [classes] this is
-    exactly the [Backend] module below. *)
+    [segfit:slab=<list>] registry spec).  With the default ladder this
+    is exactly the [Backend] module below. *)
 
 module Backend : Backend.BACKEND with type t = t

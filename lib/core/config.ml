@@ -17,8 +17,8 @@ type t = {
 let default =
   {
     short_lived_threshold = 32768;
-    n_arenas = 16;
-    arena_size = 4096;
+    n_arenas = Lp_allocsim.Arena.default_config.n_arenas;
+    arena_size = Lp_allocsim.Arena.default_config.arena_size;
     size_rounding = 4;
     policy = Lp_callchain.Site.Complete_chain;
   }

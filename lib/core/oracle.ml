@@ -47,186 +47,97 @@ let online ?(window = default_window) ?(promote = default_promote)
     ?(demote = default_demote) ?threshold config =
   Online { params = { window; promote; demote; threshold }; config }
 
-let is_online = function Online _ -> true | Static _ -> false
-
 (* -- spec grammar -----------------------------------------------------------------
 
-   [static] or [online:window=N:promote=K:demote=K:threshold=B] — the
-   same shape as the allocator-backend specs of {!Lp_allocsim.Registry}
-   (':' between parameters, every error one line, never raising), except
-   ',' is accepted as a separator too so an oracle spec can ride inside a
-   comma-free CLI position. *)
+   [static] or [online:window=N:promote=K:demote=K:threshold=B], in the
+   spec grammar the allocator backends use ({!Lp_allocsim.Spec}).  Only
+   the rule that crosses parameters lives here: [promote] may not exceed
+   a bounded [window]. *)
 
-type spec_param = {
-  key : string;
-  grammar : string;
-  param_doc : string;
-  default : string;
-}
+module Spec = Lp_allocsim.Spec
 
-let online_spec_params =
-  [
-    {
-      key = "window";
-      grammar = "<n>";
-      param_doc =
-        "sliding outcome window per site, in [0, 65536]; 0 keeps every \
-         outcome";
-      default = string_of_int default_window;
-    };
-    {
-      key = "promote";
-      grammar = "<n>";
-      param_doc =
-        "outcomes a site needs (all short) before it predicts, at least 1";
-      default = string_of_int default_promote;
-    };
-    {
-      key = "demote";
-      grammar = "<n>";
-      param_doc =
-        "consecutive long-lived outcomes that revoke a prediction, at \
-         least 1";
-      default = string_of_int default_demote;
-    };
-    {
-      key = "threshold";
-      grammar = "<bytes>";
-      param_doc =
-        "short-lived cutoff in allocated bytes, at least 1; defaults to \
-         the simulation threshold";
-      default = "config";
-    };
-  ]
-
-let oracle_names = [ "static"; "online" ]
-
-let spec_error spec fmt =
-  Printf.ksprintf
-    (fun msg -> Error (Printf.sprintf "%s (in spec %S)" msg spec))
-    fmt
+let family =
+  let positive = Spec.Bounded { lo = 1; hi = None; multiple = None } in
+  {
+    Spec.noun = "oracle";
+    full_noun = "oracle";
+    members =
+      [
+        {
+          name = "static";
+          aliases = [];
+          doc = "the offline-trained site database";
+          rows = [];
+        };
+        {
+          name = "online";
+          aliases = [];
+          doc = "";
+          rows =
+            [
+              {
+                key = "window";
+                kind = Bounded { lo = 0; hi = Some 65536; multiple = None };
+                default = Int default_window;
+                grammar = "<n>";
+                doc =
+                  "sliding outcome window per site, in [0, 65536]; 0 keeps \
+                   every outcome";
+              };
+              {
+                key = "promote";
+                kind = positive;
+                default = Int default_promote;
+                grammar = "<n>";
+                doc =
+                  "outcomes a site needs (all short) before it predicts, at \
+                   least 1";
+              };
+              {
+                key = "demote";
+                kind = positive;
+                default = Int default_demote;
+                grammar = "<n>";
+                doc =
+                  "consecutive long-lived outcomes that revoke a prediction, \
+                   at least 1";
+              };
+              {
+                key = "threshold";
+                kind = Optional { lo = 1; unset = "config" };
+                default = Unset;
+                grammar = "<bytes>";
+                doc =
+                  "short-lived cutoff in allocated bytes, at least 1; \
+                   defaults to the simulation threshold";
+              };
+            ];
+        };
+      ];
+  }
 
 let ( let* ) = Result.bind
 
-let int_value spec ~key v =
-  match int_of_string_opt v with
-  | Some n -> Ok n
-  | None -> spec_error spec "parameter %s: %S is not an integer" key v
+let parse spec =
+  let* t = Spec.parse family spec in
+  if Spec.name t = "static" then Ok (t, Spec_static)
+  else
+    let p =
+      {
+        window = Spec.int t "window";
+        promote = Spec.int t "promote";
+        demote = Spec.int t "demote";
+        threshold =
+          (match Spec.get t "threshold" with Int n -> Some n | _ -> None);
+      }
+    in
+    if p.window > 0 && p.promote > p.window then
+      Spec.error spec "parameter promote: %d exceeds window %d" p.promote p.window
+    else Ok (t, Spec_online p)
 
-(* Split on ':' and ',' alike; the first segment names the oracle. *)
-let segments_of spec =
-  String.split_on_char ':' spec |> List.concat_map (String.split_on_char ',')
-
-let parse_params spec segments =
-  List.fold_left
-    (fun acc seg ->
-      let* acc = acc in
-      match String.index_opt seg '=' with
-      | None -> spec_error spec "bad parameter %S: expected key=value" seg
-      | Some i ->
-          let key = String.sub seg 0 i in
-          let value = String.sub seg (i + 1) (String.length seg - i - 1) in
-          if not (List.exists (fun p -> p.key = key) online_spec_params) then
-            spec_error spec "unknown parameter %S for online (valid: %s)" key
-              (String.concat ", " (List.map (fun p -> p.key) online_spec_params))
-          else if List.mem_assoc key acc then
-            spec_error spec "duplicate parameter %S" key
-          else Ok (acc @ [ (key, value) ]))
-    (Ok []) segments
-
-let online_of_kvs spec kvs =
-  let* window =
-    match List.assoc_opt "window" kvs with
-    | None -> Ok default_window
-    | Some v ->
-        let* n = int_value spec ~key:"window" v in
-        if n < 0 || n > 65536 then
-          spec_error spec "parameter window: %d outside [0, 65536]" n
-        else Ok n
-  in
-  let* promote =
-    match List.assoc_opt "promote" kvs with
-    | None -> Ok default_promote
-    | Some v ->
-        let* n = int_value spec ~key:"promote" v in
-        if n < 1 then spec_error spec "parameter promote: %d is not positive" n
-        else if window > 0 && n > window then
-          spec_error spec "parameter promote: %d exceeds window %d" n window
-        else Ok n
-  in
-  let* demote =
-    match List.assoc_opt "demote" kvs with
-    | None -> Ok default_demote
-    | Some v ->
-        let* n = int_value spec ~key:"demote" v in
-        if n < 1 then spec_error spec "parameter demote: %d is not positive" n
-        else Ok n
-  in
-  let* threshold =
-    match List.assoc_opt "threshold" kvs with
-    | None -> Ok None
-    | Some v ->
-        let* n = int_value spec ~key:"threshold" v in
-        if n < 1 then
-          spec_error spec "parameter threshold: %d is not positive" n
-        else Ok (Some n)
-  in
-  Ok { window; promote; demote; threshold }
-
-let spec_of_string spec =
-  match segments_of spec with
-  | [] | [ "" ] -> Error (Printf.sprintf "empty oracle spec %S" spec)
-  | "static" :: segments ->
-      if segments = [] then Ok Spec_static
-      else spec_error spec "oracle static takes no parameters"
-  | "online" :: segments ->
-      let* kvs = parse_params spec segments in
-      let* params = online_of_kvs spec kvs in
-      Ok (Spec_online params)
-  | name :: _ ->
-      Error
-        (Printf.sprintf "unknown oracle %S (known: %s)" name
-           (String.concat ", " oracle_names))
-
-(* Alias-free already; parameters re-listed in grammar order with
-   defaults dropped, so a spec that only restates defaults collapses to
-   the plain name. *)
-let canonical_spec spec =
-  let* parsed = spec_of_string spec in
-  match parsed with
-  | Spec_static -> Ok "static"
-  | Spec_online p ->
-      let kept =
-        List.filter_map
-          (fun (key, value) ->
-            match value with
-            | None -> None
-            | Some v -> Some (Printf.sprintf "%s=%d" key v))
-          [
-            ("window", if p.window = default_window then None else Some p.window);
-            ( "promote",
-              if p.promote = default_promote then None else Some p.promote );
-            ("demote", if p.demote = default_demote then None else Some p.demote);
-            ("threshold", p.threshold);
-          ]
-      in
-      Ok (String.concat ":" ("online" :: kept))
-
-let grammar_markdown () =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    "| oracle | parameter | value | default | meaning |\n\
-     |---|---|---|---|---|\n";
-  Buffer.add_string buf
-    "| `static` | — | — | — | the offline-trained site database; takes no \
-     parameters |\n";
-  List.iter
-    (fun p ->
-      Buffer.add_string buf
-        (Printf.sprintf "| `online` | `%s` | `%s` | `%s` | %s |\n" p.key
-           p.grammar p.default p.param_doc))
-    online_spec_params;
-  Buffer.contents buf
+let spec_of_string spec = Result.map snd (parse spec)
+let canonical_spec spec = Result.map (fun (t, _) -> Spec.to_string t) (parse spec)
+let grammar_markdown () = Spec.markdown family
 
 let of_spec ~config ?predictor spec =
   match spec with

@@ -43,13 +43,15 @@ val online :
   ?window:int -> ?promote:int -> ?demote:int -> ?threshold:int -> Config.t -> t
 (** The online adaptive oracle; defaults as {!default_online_params}. *)
 
-val is_online : t -> bool
+val family : Lp_allocsim.Spec.family
+(** The oracles and their parameter rows: [static] takes none; [online]
+    takes [window], [promote], [demote] and [threshold]. *)
 
 val spec_of_string : string -> (spec, string) result
 (** Parse [static] or [online:window=N:promote=K:demote=K:threshold=B]
-    (',' accepted between parameters too).  Every parameter is optional
-    and validated; errors are one line ending [(in spec %S)], mirroring
-    the allocator-backend spec grammar, and never raise. *)
+    in the grammar of {!Lp_allocsim.Spec}.  Every parameter is optional
+    and validated, and [promote] may not exceed a bounded [window];
+    errors are one line ending [(in spec %S)] and never raise. *)
 
 val canonical_spec : string -> (string, string) result
 (** The canonical form: parameters in grammar order with defaults
@@ -62,8 +64,9 @@ val of_spec : config:Config.t -> ?predictor:Predictor.t -> spec -> (t, string) r
     [Spec_online] ignores it. *)
 
 val grammar_markdown : unit -> string
-(** The oracle-spec grammar as a markdown table — the README embeds this
-    verbatim (drift-tested). *)
+(** The oracle-spec grammar as a markdown table
+    ({!Lp_allocsim.Spec.markdown}) — the README embeds this verbatim
+    (drift-tested). *)
 
 type instance
 (** One replay's worth of oracle: the driver-facing predictor plus a

@@ -52,21 +52,14 @@ let arena_with_cost ~config ~oracle ~(test : Lp_trace.Trace.t) ~predict_cost =
        "arena")
 
 (* Allocator names may carry parameters ([segfit:slab=16+64], see
-   {!Lp_allocsim.Registry.backend_of_spec}); a parameterized job is keyed
-   by its canonical spec so several variants of one backend can run in the
-   same sweep without colliding. *)
+   {!Lp_allocsim.Spec}); a job is keyed by its canonical spec so several
+   variants of one backend can run in the same sweep without colliding. *)
 let resolve_spec ~arena_config name =
-  match Lp_allocsim.Registry.backend_of_spec ~arena_config name with
+  match Lp_allocsim.Spec.parse Lp_allocsim.Registry.family name with
   | Error msg -> failwith msg
-  | Ok backend ->
-      let display =
-        if Lp_allocsim.Registry.is_spec name then
-          match Lp_allocsim.Registry.canonical_spec name with
-          | Ok c -> c
-          | Error msg -> failwith msg
-        else Lp_allocsim.Backend.name backend
-      in
-      (backend, display)
+  | Ok spec ->
+      ( Lp_allocsim.Registry.build ~arena_config spec,
+        Lp_allocsim.Spec.to_string spec )
 
 (* The allocator -> job expansion of [run] and [run_streamed].  [wrap]
    interposes on every backend — the sanitizer's hook; a well-behaved
@@ -125,7 +118,7 @@ let run ?(allocators = default_allocators) ?(wrap = fun b -> b)
    the fan-out is byte-identical to sequential and to the materialized
    [run]. *)
 let run_streamed ?(allocators = default_allocators) ?(wrap = fun b -> b)
-    ?(decode_ahead = false) ~(config : Config.t) ~(oracle : Oracle.t)
+    ~(config : Config.t) ~(oracle : Oracle.t)
     ~(source : unit -> Lp_trace.Source.t) () : t =
   (* The CCE pricing needs the stream's call and object totals before any
      replay: file-backed sources declare both up front, text and
@@ -153,6 +146,6 @@ let run_streamed ?(allocators = default_allocators) ?(wrap = fun b -> b)
                 (Oracle.instance_for_source oracle ~predict_cost src))
             predict_cost
         in
-        Lp_allocsim.Driver.run_source ~decode_ahead ?predictor src backend)
+        Lp_allocsim.Driver.run_source ?predictor src backend)
   in
   results jobs (Parallel.map_sources source (List.map snd jobs))

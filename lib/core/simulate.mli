@@ -48,7 +48,6 @@ val arena_cce : t -> Lp_allocsim.Metrics.t
 val run_streamed :
   ?allocators:string list ->
   ?wrap:(Lp_allocsim.Backend.t -> Lp_allocsim.Backend.t) ->
-  ?decode_ahead:bool ->
   config:Config.t ->
   oracle:Oracle.t ->
   source:(unit -> Lp_trace.Source.t) ->
@@ -60,12 +59,7 @@ val run_streamed :
     and concurrent replays never share a cursor.  Metrics are
     byte-identical to {!run} on the materialized equivalent.  Sources
     that do not declare their call/object totals up front (text,
-    generators) cost one extra probe drain for the CCE pricing.
-
-    [decode_ahead] (default false) wraps each job's source in
-    {!Lp_trace.Source.decode_ahead}, decoding on a domain that runs
-    ahead of the replay; each job then occupies two domains instead of
-    one, so it pays off when jobs are few relative to cores. *)
+    generators) cost one extra probe drain for the CCE pricing. *)
 
 val cce_cost : Lp_trace.Trace.t -> int
 (** Per-allocation prediction cost under call-chain encryption, amortised

@@ -17,6 +17,7 @@
 
 module Driver = Lp_allocsim.Driver
 module Registry = Lp_allocsim.Registry
+module Spec = Lp_allocsim.Spec
 module Metrics = Lp_allocsim.Metrics
 module Cost_model = Lp_allocsim.Cost_model
 module Trace = Lp_trace.Trace
@@ -25,23 +26,24 @@ module Prng = Lp_workloads.Prng
 
 (* -- candidates --------------------------------------------------------------------- *)
 
-type backend_params =
-  | Freelist of { best : bool; sbrk : int }
-  | Bsd
-  | Segfit of { slab : int array }
-  | Arena of { n : int; chunk : int; fallback : string }
-
 type candidate = {
-  backend : backend_params;
+  backend : Spec.t;  (* a backend spec of {!Registry.family} *)
   depth : int;  (* 0 = complete cycle-eliminated chain; 1-8 = last-N callers *)
   threshold : int;  (* short-lived threshold, bytes *)
 }
 
-let default_sbrk = 8192
-let default_threshold = Config.default.Config.short_lived_threshold
-let default_arena = Arena { n = 16; chunk = 4096; fallback = "first-fit" }
+(* The search's moves keep every value inside the grammar's bounds, so a
+   spec it builds always validates. *)
+let backend name values =
+  match Spec.make Registry.family name values with
+  | Ok spec -> spec
+  | Error msg -> invalid_arg ("Tune: " ^ msg)
 
-let uses_prediction c = match c.backend with Arena _ -> true | _ -> false
+let arena ~n ~chunk ~fallback =
+  backend "arena" [ ("n", Int n); ("chunk", Int chunk); ("fallback", Name fallback) ]
+
+let default_threshold = Config.default.Config.short_lived_threshold
+let uses_prediction c = Spec.name c.backend = "arena"
 
 (* prediction knobs are meaningless for non-predicting backends; pin them
    so the dedup key collapses `first-fit at threshold 8 KB` onto plain
@@ -50,36 +52,8 @@ let normalize c =
   if uses_prediction c then c
   else { c with depth = 0; threshold = default_threshold }
 
-let spec_string c =
-  match c.backend with
-  | Freelist { best; sbrk } ->
-      let name = if best then "best-fit" else "first-fit" in
-      if sbrk = default_sbrk then name else Printf.sprintf "%s:sbrk=%d" name sbrk
-  | Bsd -> "bsd"
-  | Segfit { slab } ->
-      if slab = Lp_allocsim.Segfit.default_classes then "segfit"
-      else
-        Printf.sprintf "segfit:slab=%s"
-          (String.concat "+" (List.map string_of_int (Array.to_list slab)))
-  | Arena { n; chunk; fallback } ->
-      let params =
-        (if n = 16 then [] else [ Printf.sprintf "n=%d" n ])
-        @ (if chunk = 4096 then [] else [ Printf.sprintf "chunk=%d" chunk ])
-        @
-        if fallback = "first-fit" then []
-        else [ Printf.sprintf "fallback=%s" fallback ]
-      in
-      String.concat ":" ("arena" :: params)
-
-let key c = Printf.sprintf "%s|d%d|t%d" (spec_string c) c.depth c.threshold
-
+let key c = Printf.sprintf "%s|d%d|t%d" (Spec.to_string c.backend) c.depth c.threshold
 let chain_string c = if c.depth = 0 then "full" else string_of_int c.depth
-
-let label c =
-  if uses_prediction c then
-    Printf.sprintf "%s chain=%s thr=%d" (spec_string c) (chain_string c)
-      c.threshold
-  else spec_string c
 
 let policy_of_depth d =
   if d = 0 then Lp_callchain.Site.Complete_chain
@@ -143,11 +117,7 @@ let ensure_predictors ctx cands =
   List.iter2 (fun k p -> Hashtbl.replace ctx.predictors k p) missing built
 
 let eval_with_cost ctx c ~predict_cost =
-  let backend =
-    match Registry.backend_of_spec (spec_string c) with
-    | Ok b -> b
-    | Error msg -> failwith ("Tune: " ^ msg)
-  in
+  let backend = Registry.build c.backend in
   let metrics =
     if uses_prediction c then begin
       let predictor = Hashtbl.find ctx.predictors (c.threshold, c.depth) in
@@ -205,23 +175,25 @@ let pareto_front results =
 (* -- the deterministic seed grid ---------------------------------------------------- *)
 
 let grid_candidates () =
-  let plain backend = normalize { backend; depth = 0; threshold = default_threshold } in
+  let plain name values =
+    normalize { backend = backend name values; depth = 0; threshold = default_threshold }
+  in
   let base =
     [
-      plain (Freelist { best = false; sbrk = default_sbrk });
-      plain (Freelist { best = true; sbrk = default_sbrk });
-      plain Bsd;
-      plain (Segfit { slab = Lp_allocsim.Segfit.default_classes });
-      plain (Segfit { slab = [| 16; 64; 256; 1024 |] });
-      plain
-        (Segfit
-           {
-             slab =
-               [| 16; 32; 48; 64; 96; 128; 192; 256; 384; 512; 768; 1024; 1536; 2048 |];
-           });
-      plain (Freelist { best = false; sbrk = 4096 });
-      plain (Freelist { best = false; sbrk = 32768 });
-      plain (Freelist { best = true; sbrk = 32768 });
+      plain "first-fit" [];
+      plain "best-fit" [];
+      plain "bsd" [];
+      plain "segfit" [];
+      plain "segfit" [ ("slab", Ints [| 16; 64; 256; 1024 |]) ];
+      plain "segfit"
+        [
+          ( "slab",
+            Ints [| 16; 32; 48; 64; 96; 128; 192; 256; 384; 512; 768; 1024; 1536; 2048 |]
+          );
+        ];
+      plain "first-fit" [ ("sbrk", Int 4096) ];
+      plain "first-fit" [ ("sbrk", Int 32768) ];
+      plain "best-fit" [ ("sbrk", Int 32768) ];
     ]
   in
   let geometry =
@@ -232,7 +204,7 @@ let grid_candidates () =
             List.map
               (fun fallback ->
                 {
-                  backend = Arena { n; chunk; fallback };
+                  backend = arena ~n ~chunk ~fallback;
                   depth = 0;
                   threshold = default_threshold;
                 })
@@ -240,14 +212,15 @@ let grid_candidates () =
           [ 8; 16; 32 ])
       [ 2048; 4096; 8192; 16384 ]
   in
+  let paper_arena = backend "arena" [] in
   let depths =
     List.map
-      (fun depth -> { backend = default_arena; depth; threshold = default_threshold })
+      (fun depth -> { backend = paper_arena; depth; threshold = default_threshold })
       [ 1; 2; 3; 4; 5; 6; 7; 8 ]
   in
   let thresholds =
     List.map
-      (fun threshold -> { backend = default_arena; depth = 0; threshold })
+      (fun threshold -> { backend = paper_arena; depth = 0; threshold })
       [ 4096; 8192; 16384; 65536; 131072 ]
   in
   base @ geometry @ depths @ thresholds
@@ -278,43 +251,41 @@ let mutate_slab prng slab =
       else if n > 1 then Array.sub slab 0 (n - 1)
       else slab
 
+(* draws the fallback, then the chunk, then the count *)
 let random_arena prng =
-  {
-    backend =
-      Arena
-        {
-          n = Prng.choose prng [| 8; 16; 32 |];
-          chunk = Prng.choose prng [| 2048; 4096; 8192; 16384 |];
-          fallback = Prng.choose prng [| "first-fit"; "segfit" |];
-        };
-    depth = 0;
-    threshold = default_threshold;
-  }
+  let fallback = Prng.choose prng [| "first-fit"; "segfit" |] in
+  let chunk = Prng.choose prng [| 2048; 4096; 8192; 16384 |] in
+  let n = Prng.choose prng [| 8; 16; 32 |] in
+  { backend = arena ~n ~chunk ~fallback; depth = 0; threshold = default_threshold }
 
 let mutate prng c =
-  match c.backend with
-  | Bsd ->
+  let b = c.backend in
+  match Spec.name b with
+  | "bsd" ->
       (* no knobs; jump to a random arena geometry to keep the search moving *)
       random_arena prng
-  | Freelist { best; sbrk } ->
+  | ("first-fit" | "best-fit") as name ->
+      let sbrk = Spec.int b "sbrk" in
       let sbrk =
         clamp 1024 262144 (if Prng.bool prng then sbrk * 2 else sbrk / 2)
       in
-      { c with backend = Freelist { best; sbrk } }
-  | Segfit { slab } -> { c with backend = Segfit { slab = mutate_slab prng slab } }
-  | Arena { n; chunk; fallback } -> (
+      { c with backend = backend name [ ("sbrk", Int sbrk) ] }
+  | "segfit" ->
+      let slab = mutate_slab prng (Spec.ints b "slab") in
+      { c with backend = backend "segfit" [ ("slab", Ints slab) ] }
+  | _ (* arena *) -> (
+      let n = Spec.int b "n" and chunk = Spec.int b "chunk" in
+      let fallback = Spec.text b "fallback" in
       match Prng.int prng 7 with
-      | 0 ->
-          { c with backend = Arena { n; chunk = clamp 512 65536 (chunk * 2); fallback } }
-      | 1 ->
-          { c with backend = Arena { n; chunk = clamp 512 65536 (chunk / 2); fallback } }
-      | 2 -> { c with backend = Arena { n = clamp 2 128 (n * 2); chunk; fallback } }
-      | 3 -> { c with backend = Arena { n = clamp 2 128 (n / 2); chunk; fallback } }
+      | 0 -> { c with backend = arena ~n ~chunk:(clamp 512 65536 (chunk * 2)) ~fallback }
+      | 1 -> { c with backend = arena ~n ~chunk:(clamp 512 65536 (chunk / 2)) ~fallback }
+      | 2 -> { c with backend = arena ~n:(clamp 2 128 (n * 2)) ~chunk ~fallback }
+      | 3 -> { c with backend = arena ~n:(clamp 2 128 (n / 2)) ~chunk ~fallback }
       | 4 ->
           let fallback =
             Prng.choose prng [| "first-fit"; "best-fit"; "bsd"; "segfit" |]
           in
-          { c with backend = Arena { n; chunk; fallback } }
+          { c with backend = arena ~n ~chunk ~fallback }
       | 5 -> { c with depth = Prng.int prng 9 }
       | _ ->
           {
@@ -348,8 +319,10 @@ type outcome = {
    on a miss (a grid cut short by [max_candidates]) and for the CCE
    pricing, which the search never uses. *)
 let baselines ctx results =
-  let fixed backend = normalize { backend; depth = 0; threshold = default_threshold } in
-  let arena_default = fixed default_arena in
+  let fixed name =
+    normalize { backend = backend name []; depth = 0; threshold = default_threshold }
+  in
+  let arena_default = fixed "arena" in
   ensure_predictors ctx [ arena_default ];
   let cce_cost =
     Cost_model.site_lookup
@@ -363,8 +336,8 @@ let baselines ctx results =
     | None -> eval ctx c
   in
   [
-    ("first-fit", evaluated (fixed (Freelist { best = false; sbrk = default_sbrk })));
-    ("bsd", evaluated (fixed Bsd));
+    ("first-fit", evaluated (fixed "first-fit"));
+    ("bsd", evaluated (fixed "bsd"));
     ("arena-len4", evaluated arena_default);
     ("arena-cce", eval_with_cost ctx arena_default ~predict_cost:cce_cost);
   ]
@@ -434,7 +407,7 @@ let search ?(options = default_options) ?(workload = "trace") ~train ~test () =
 let json_of_result r =
   Json.Obj
     [
-      ("spec", Json.String (spec_string r.candidate));
+      ("spec", Json.String (Spec.to_string r.candidate.backend));
       ("chain_depth", Json.Number (float_of_int r.candidate.depth));
       ("threshold", Json.Number (float_of_int r.candidate.threshold));
       ("instructions", Json.Number (float_of_int r.instructions));
@@ -472,7 +445,7 @@ let table_of_outcome o =
     (fun i r ->
       Buffer.add_string buf
         (Printf.sprintf "P%-3d %-52s %-6s %10d %14d %12d\n" (i + 1)
-           (spec_string r.candidate)
+           (Spec.to_string r.candidate.backend)
            (chain_string r.candidate)
            r.candidate.threshold r.instructions r.max_heap))
     o.pareto;
@@ -480,7 +453,7 @@ let table_of_outcome o =
     (fun (name, r) ->
       Buffer.add_string buf
         (Printf.sprintf "%-4s %-52s %-6s %10d %14d %12d\n" "ref"
-           (name ^ " = " ^ spec_string r.candidate)
+           (name ^ " = " ^ Spec.to_string r.candidate.backend)
            (chain_string r.candidate)
            r.candidate.threshold r.instructions r.max_heap))
     o.baselines;
@@ -493,7 +466,7 @@ let markdown_header =
 let markdown_rows o =
   let row point r =
     Printf.sprintf "| %s | %s | `%s` | %s | %d | %d | %d |\n" o.workload point
-      (spec_string r.candidate)
+      (Spec.to_string r.candidate.backend)
       (chain_string r.candidate)
       r.candidate.threshold r.instructions r.max_heap
   in

@@ -14,37 +14,15 @@
     {!Parallel.map} preserves order.  The golden test replays a tune run
     at 1 and 4 domains and byte-compares the JSON. *)
 
-(** Backend parameters under search — mirrors the
-    {!Lp_allocsim.Registry.backend_of_spec} grammar. *)
-type backend_params =
-  | Freelist of { best : bool; sbrk : int }
-      (** first-fit / best-fit with an sbrk chunk size *)
-  | Bsd  (** no knobs *)
-  | Segfit of { slab : int array }  (** slab class ladder *)
-  | Arena of { n : int; chunk : int; fallback : string }
-
 type candidate = {
-  backend : backend_params;
+  backend : Lp_allocsim.Spec.t;
+      (** a backend spec of {!Lp_allocsim.Registry.family}; its canonical
+          form ({!Lp_allocsim.Spec.to_string}) is the report's [spec] *)
   depth : int;
       (** predictor chain depth: 0 = complete cycle-eliminated chain,
           1-8 = last-N callers.  Meaningful only for predicting backends. *)
   threshold : int;  (** short-lived threshold in bytes *)
 }
-
-val normalize : candidate -> candidate
-(** Pin the prediction knobs of non-predicting backends to their defaults
-    so equivalent candidates collapse onto one dedup {!key}. *)
-
-val spec_string : candidate -> string
-(** The candidate's backend as a registry spec, canonical form (defaults
-    dropped) — accepted by {!Lp_allocsim.Registry.backend_of_spec}. *)
-
-val key : candidate -> string
-(** Dedup identity: spec string plus chain depth and threshold. *)
-
-val label : candidate -> string
-(** Human-readable one-liner ([spec chain=N thr=B] for predicting
-    backends, plain spec otherwise). *)
 
 val uses_prediction : candidate -> bool
 
@@ -60,8 +38,8 @@ type result = {
 
 val pareto_front : result list -> result list
 (** The non-dominated frontier minimizing (instructions, max_heap),
-    instructions ascending.  Deterministic: ties are broken by candidate
-    {!key}. *)
+    instructions ascending.  Deterministic: ties are broken by the
+    candidate's canonical spec, chain depth and threshold. *)
 
 type options = {
   seed : int;  (** PRNG seed; fixes the whole search *)
@@ -73,11 +51,6 @@ type options = {
 val default_options : options
 (** [{seed = 42; generations = 4; population = 16; max_candidates = 512}]
     — the 46-point grid plus 4 x 16 mutants, about 110 candidates. *)
-
-val grid_candidates : unit -> candidate list
-(** The deterministic seed grid: the five plain backends, sbrk and slab
-    ladder variants, the arena geometry cross product, a chain-depth
-    sweep 1-8 and a short-lived-threshold sweep. *)
 
 type outcome = {
   workload : string;
@@ -96,8 +69,11 @@ val search :
   test:Lp_trace.Trace.t ->
   unit ->
   outcome
-(** Run the full search: evaluate the grid, then [generations] rounds of
-    mutations of the current Pareto front, deduplicated by {!key}.  The
+(** Run the full search: evaluate the deterministic seed grid (the five
+    plain backends, sbrk and slab ladder variants, the arena geometry
+    cross product, a chain-depth sweep 1-8 and a short-lived-threshold
+    sweep), then [generations] rounds of mutations of the current Pareto
+    front, deduplicated by canonical spec, chain depth and threshold.  The
     test trace is prepared once and the train trace profiled once
     ({!Train.profile}); each distinct (threshold, depth) pair derives its
     predictor from that profile, shared across candidates.  The search

@@ -434,114 +434,3 @@ let of_generator ~program ~input produce =
     streamed = 0;
     finished = false;
   }
-
-(* -- decode-ahead pipeline ----------------------------------------------------- *)
-
-let dummy_event = Event.Free { obj = -1; size = -1 }
-
-type ahead_item =
-  | Batch of Event.t array
-  | Ahead_done
-  | Ahead_failed of exn * Printexc.raw_backtrace
-
-(* A second domain drains [inner] into bounded batches; the returned
-   source yields the identical event sequence.  Table lookups delegate
-   to [inner], which is safe for ids carried by already-yielded events:
-   the producer appends table entries before enqueuing the batch, and
-   the queue's mutex gives the consumer a happens-before on them.
-   Intended for file-backed sources (generator sources run their
-   producer effect on the pipeline domain, so their view must not be
-   consulted concurrently — wrap those only if lookups happen after
-   exhaustion).  The returned source must be drained (or the error it
-   raises reached): abandoning it mid-stream leaves the pipeline domain
-   blocked on the full queue. *)
-let decode_ahead ?(batch = 4096) ?(slots = 8) (inner : t) : t =
-  if batch < 1 || slots < 1 then
-    invalid_arg "Source.decode_ahead: batch and slots must be positive";
-  let m = Mutex.create () in
-  let nonempty = Condition.create () in
-  let nonfull = Condition.create () in
-  let q : ahead_item Queue.t = Queue.create () in
-  let push item =
-    Mutex.lock m;
-    while Queue.length q >= slots do
-      Condition.wait nonfull m
-    done;
-    Queue.push item q;
-    Condition.signal nonempty;
-    Mutex.unlock m
-  in
-  let pop () =
-    Mutex.lock m;
-    while Queue.is_empty q do
-      Condition.wait nonempty m
-    done;
-    let item = Queue.pop q in
-    Condition.signal nonfull;
-    Mutex.unlock m;
-    item
-  in
-  (* each batch is a fresh array: the consumer keeps reading the last
-     one while the producer fills the next *)
-  let producer () =
-    let rec go () =
-      let buf = Array.make batch dummy_event in
-      let n = ref 0 in
-      match inner.pull batch (fun e -> buf.(!n) <- e; incr n) with
-      | k ->
-          if k > 0 then push (Batch (if k = batch then buf else Array.sub buf 0 k));
-          if k = batch then go () else push Ahead_done
-      | exception e ->
-          let bt = Printexc.get_raw_backtrace () in
-          (* events decoded before the failure still precede it in order *)
-          if !n > 0 then push (Batch (Array.sub buf 0 !n));
-          push (Ahead_failed (e, bt))
-    in
-    go ()
-  in
-  let dom = Domain.spawn producer in
-  let joined = ref false in
-  let join () =
-    if not !joined then begin
-      joined := true;
-      Domain.join dom
-    end
-  in
-  let cur = ref [||] in
-  let pos = ref 0 in
-  let ended = ref false in
-  (* false once the producer is done; re-raises its error *)
-  let refill () =
-    match pop () with
-    | Batch arr ->
-        cur := arr;
-        pos := 0;
-        true
-    | Ahead_done ->
-        ended := true;
-        join ();
-        false
-    | Ahead_failed (e, bt) ->
-        ended := true;
-        join ();
-        Printexc.raise_with_backtrace e bt
-  in
-  let pull n f =
-    let k = ref 0 in
-    while
-      !k < n && (not !ended) && (!pos < Array.length !cur || refill ())
-    do
-      let arr = !cur in
-      let m = min (n - !k) (Array.length arr - !pos) in
-      for _ = 1 to m do
-        let e = arr.(!pos) in
-        incr pos;
-        f e
-      done;
-      k := !k + m
-    done;
-    !k
-  in
-  (* seeking would desynchronize the pipeline, so the wrapper is linear *)
-  { inner with pull; seek_to = None; sub_range = None;
-    streamed = 0; finished = false }

@@ -133,19 +133,3 @@ val of_generator :
     array is empty in sink mode); the summary supplies the final
     execution counters.  The producer runs at most once; the source is
     single-shot like every other constructor. *)
-
-val decode_ahead : ?batch:int -> ?slots:int -> t -> t
-(** [decode_ahead inner] moves the decode work of [inner] onto a fresh
-    domain that runs ahead of the consumer, handing batches of [batch]
-    events (default 4096) through a bounded queue of [slots] batches
-    (default 8) — a two-stage pipeline that overlaps decoding with
-    consumption.  Event order, errors and exhaustion semantics are
-    preserved; errors raised by the producer re-raise at the consumer
-    after all earlier events have been delivered.
-
-    The wrapper is not seekable and must be drained to exhaustion (or to
-    the re-raised error): abandoning it mid-stream leaves the producer
-    domain blocked on the queue.  Table lookups ([chain], [tag], ...)
-    remain safe because the queue's mutex orders the producer's
-    interning writes before the consumer's reads of any delivered
-    event's ids. *)

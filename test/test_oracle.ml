@@ -56,24 +56,32 @@ let spec_parse () =
         "bare online is all defaults" true
         (p = O.default_online_params)
   | _ -> Alcotest.fail "online should parse");
-  (* ',' and ':' both separate parameters *)
-  match O.spec_of_string "online:window=64,promote=2:threshold=16384" with
+  (match O.spec_of_string "online:window=64:promote=2:threshold=16384" with
   | Ok (O.Spec_online p) ->
       Alcotest.(check int) "window" 64 p.O.window;
       Alcotest.(check int) "promote" 2 p.O.promote;
       Alcotest.(check int) "demote (default)" 4 p.O.demote;
       Alcotest.(check (option int)) "threshold" (Some 16384) p.O.threshold
-  | _ -> Alcotest.fail "mixed separators should parse"
+  | _ -> Alcotest.fail "online parameters should parse");
+  (* ':' alone separates parameters, as in allocator specs; ',' is the
+     CLI's list separator *)
+  match O.spec_of_string "online:window=64,promote=2" with
+  | Error msg ->
+      Alcotest.(check string)
+        "a ',' stays inside the value"
+        {|parameter window: "64,promote=2" is not an integer (in spec "online:window=64,promote=2")|}
+        msg
+  | Ok _ -> Alcotest.fail "',' must not separate parameters"
 
 let canonicalization () =
   let canon spec = Result.get_ok (O.canonical_spec spec) in
   Alcotest.(check string) "static" "static" (canon "static");
   Alcotest.(check string)
     "defaults collapse" "online"
-    (canon "online:window=256,promote=4:demote=4");
+    (canon "online:window=256:promote=4:demote=4");
   Alcotest.(check string)
     "grammar order, defaults dropped" "online:window=0:demote=2"
-    (canon "online:demote=2,window=0");
+    (canon "online:demote=2:window=0");
   match O.canonical_spec "online:promote=0" with
   | Error _ -> ()
   | Ok s -> Alcotest.failf "bad spec canonicalized to %S" s

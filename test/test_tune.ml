@@ -9,6 +9,7 @@
 
 module Tune = Lifetime.Tune
 module Registry = Lp_allocsim.Registry
+module Spec = Lp_allocsim.Spec
 module Driver = Lp_allocsim.Driver
 module Metrics = Lp_allocsim.Metrics
 module Timings = Lp_obs.Timings
@@ -253,7 +254,187 @@ let canonicalization () =
   Alcotest.(check string) "fallback alias canonicalizes" "arena:fallback=best-fit"
     (canon "arena:fallback=bf");
   Alcotest.(check string) "default slab drops" "segfit"
-    (canon "segfit:slab=16+32+64+128+256+512+1024+2048")
+    (canon "segfit:slab=16+32+64+128+256+512+1024+2048");
+  (* ladders print from their values, however they were written *)
+  Alcotest.(check string) "ladder written with a zero and in hex" "segfit:slab=16+32"
+    (canon "seg:slab=016+0x20");
+  Alcotest.(check string) "canonical ladder is a fixed point" "segfit:slab=16+32"
+    (canon "segfit:slab=16+32");
+  Alcotest.(check string) "default ladder with an underscore drops" "segfit"
+    (canon "segfit:slab=16+32+64+128+256+512+1024+2_048")
+
+(* -- the grammar, generated from the parameter rows ---------------------------------- *)
+
+(* Both spec families, each with its own entry point (which adds the
+   oracle's promote-within-window rule). *)
+let families =
+  [
+    (Registry.family, fun s -> Result.map ignore (Registry.backend_of_spec s));
+    ( Lifetime.Oracle.family,
+      fun s -> Result.map ignore (Lifetime.Oracle.spec_of_string s) );
+  ]
+
+type generated = {
+  family : Spec.family;
+  entry : string -> (unit, string) result;
+  member : Spec.member;
+  written_name : string;  (* the name or an alias *)
+  params : (Spec.row * Spec.value * string) list;  (* value and how it is written *)
+}
+
+let written ?(segment = fun ((row : Spec.row), _, text) -> row.key ^ "=" ^ text) g =
+  String.concat ":" (g.written_name :: List.map segment g.params)
+
+let text_of = function
+  | Spec.Int n -> string_of_int n
+  | Ints cells -> String.concat "+" (List.map string_of_int (Array.to_list cells))
+  | Name s -> s
+  | Unset -> assert false
+
+(* a valid value of [row], and one of several ways to write it *)
+let value_gen (family : Spec.family) (member : Spec.member) (row : Spec.row) =
+  let open QCheck.Gen in
+  let write n =
+    oneofl [ string_of_int n; "0" ^ string_of_int n; Printf.sprintf "0x%x" n ]
+  in
+  let int_in lo hi =
+    let* n = int_range lo hi in
+    let* text = write n in
+    return (Spec.Int n, text)
+  in
+  match row.kind with
+  | Bounded { lo; hi = Some hi; _ } -> int_in lo hi
+  | Bounded { hi = None; multiple; _ } ->
+      let m = Option.value multiple ~default:1 in
+      let* k = int_range 1 4096 in
+      let* text = write (k * m) in
+      return (Spec.Int (k * m), text)
+  | Optional { lo; _ } -> int_in lo (lo + 100_000)
+  | Ladder { lo; hi; multiple; max_len } ->
+      let* picks =
+        list_size (int_range 1 (min max_len 12)) (int_range 0 ((hi - lo) / multiple))
+      in
+      let cells = List.map (fun i -> lo + (i * multiple)) (List.sort_uniq compare picks) in
+      let* texts = flatten_l (List.map write cells) in
+      return (Spec.Ints (Array.of_list cells), String.concat "+" texts)
+  | Member ->
+      let others =
+        List.concat_map
+          (fun (m : Spec.member) ->
+            if m.name = member.name then []
+            else List.map (fun w -> (m.name, w)) (m.name :: m.aliases))
+          family.members
+      in
+      let* name, text = oneofl others in
+      return (Spec.Name name, text)
+
+let spec_gen =
+  let open QCheck.Gen in
+  let* family, entry = oneofl families in
+  let* member = oneofl family.members in
+  let* written_name = oneofl (member.name :: member.aliases) in
+  let* rows = shuffle_l member.rows in
+  let* k = int_range 0 (List.length rows) in
+  let* params =
+    flatten_l
+      (List.map
+         (fun row ->
+           let* v, text = value_gen family member row in
+           return (row, v, text))
+         (List.filteri (fun i _ -> i < k) rows))
+  in
+  return { family; entry; member; written_name; params }
+
+let arb_spec = QCheck.make ~print:(fun g -> written g) spec_gen
+
+let spec_round_trip =
+  QCheck.Test.make ~count:500
+    ~name:"every spec generated from the rows parses, canonically and back" arb_spec
+    (fun g ->
+      let s = written g in
+      let parse s =
+        match Spec.parse g.family s with
+        | Ok t -> t
+        | Error msg -> QCheck.Test.fail_reportf "%S: %s" s msg
+      in
+      let t = parse s in
+      (* the entry points take it too, but for the oracle's cross rule *)
+      (match g.entry s with
+      | Ok () -> ()
+      | Error msg when contains msg "exceeds window" -> ()
+      | Error msg -> QCheck.Test.fail_reportf "%S: %s" s msg);
+      List.iter
+        (fun (row : Spec.row) ->
+          let want =
+            match List.find_opt (fun (r, _, _) -> r == row) g.params with
+            | Some (_, v, _) -> v
+            | None -> row.default
+          in
+          if Spec.get t row.key <> want then
+            QCheck.Test.fail_reportf "%S: parameter %s misread" s row.key)
+        g.member.rows;
+      let c = Spec.to_string t in
+      let t' = parse c in
+      if Spec.to_string t' <> c then QCheck.Test.fail_reportf "%S is not a fixed point" c;
+      List.iter
+        (fun (row : Spec.row) ->
+          if Spec.get t' row.key <> Spec.get t row.key then
+            QCheck.Test.fail_reportf "%S reads %s differently from %S" c row.key s)
+        g.member.rows;
+      let restated =
+        String.concat ":"
+          (g.written_name
+          :: List.filter_map
+               (fun (row : Spec.row) ->
+                 if row.default = Unset then None
+                 else Some (row.key ^ "=" ^ text_of row.default))
+               g.member.rows)
+      in
+      Result.map Spec.to_string (Spec.parse g.family restated) = Ok g.member.name)
+
+(* a value just outside [row]'s bounds *)
+let out_of_bounds (member : Spec.member) (row : Spec.row) =
+  match row.kind with
+  | Bounded { hi = Some hi; _ } -> string_of_int (hi + 1)
+  | Bounded { lo; hi = None; _ } | Optional { lo; _ } -> string_of_int (lo - 1)
+  | Ladder { hi; multiple; _ } -> string_of_int (hi + multiple)
+  | Member -> member.name
+
+let spec_mutations =
+  QCheck.Test.make ~count:500
+    ~name:"mutated specs fail with a located error and never raise" arb_spec
+    (fun g ->
+      let drop_equals first ((row : Spec.row), _, text) =
+        if row == first then row.key ^ text else row.key ^ "=" ^ text
+      in
+      let mutants =
+        (written g ^ ":zz=1")
+        :: (match g.params with
+           | [] -> []
+           | (first, _, _) :: _ -> [ written ~segment:(drop_equals first) g ])
+        @ List.concat_map
+            (fun (row : Spec.row) ->
+              let others =
+                { g with params = List.filter (fun (r, _, _) -> r != row) g.params }
+              in
+              [
+                written g ^ ":" ^ row.key ^ "=1:" ^ row.key ^ "=1";
+                written others ^ ":" ^ row.key ^ "=" ^ out_of_bounds g.member row;
+              ])
+            g.member.rows
+      in
+      List.for_all
+        (fun m ->
+          let suffix = Printf.sprintf "(in spec %S)" m in
+          List.for_all
+            (fun parse ->
+              match parse m with
+              | Ok () -> QCheck.Test.fail_reportf "%S parsed" m
+              | Error msg ->
+                  String.ends_with ~suffix msg
+                  || QCheck.Test.fail_reportf "%S: %S lacks %s" m msg suffix)
+            [ (fun s -> Result.map ignore (Spec.parse g.family s)); g.entry ])
+        mutants)
 
 (* -- default-parameter specs are byte-identical to the plain names ---------------- *)
 
@@ -348,6 +529,8 @@ let suites =
         Alcotest.test_case "README grammar table" `Quick readme_grammar_table;
         Alcotest.test_case "EXPERIMENTS best-config table" `Slow
           experiments_best_config_table;
+        QCheck_alcotest.to_alcotest spec_round_trip;
+        QCheck_alcotest.to_alcotest spec_mutations;
         QCheck_alcotest.to_alcotest default_spec_equivalence;
         QCheck_alcotest.to_alcotest default_spec_equivalence_realloc;
       ] );
