@@ -389,12 +389,13 @@ let simulate_cmd =
        reports both prediction pricings, as $(i,name) and $(i,name)-cce.  \
        Names may carry parameters as $(i,name:key=value:...) — e.g. \
        $(b,segfit:slab=16+64+256), $(b,arena:n=8:chunk=8192) — see the \
-       README's tuning section for the grammar; a malformed spec is a \
-       usage error (exit 2)."
+       README's tuning section for the grammar; a malformed spec, or an \
+       empty one anywhere in the list, is a usage error (exit 2)."
     in
+    (* split by [Registry.specs_of_list]: [Arg.list] drops empty elements *)
     Arg.(
       value
-      & opt (some (list string)) None
+      & opt (some string) None
       & info [ "allocators" ] ~docv:"NAMES" ~doc)
   in
   let sanitize =
@@ -423,19 +424,18 @@ let simulate_cmd =
     with_timings timings @@ fun () ->
     set_domains domains;
     let spec = oracle_spec_of ~cmd:"simulate" oracle_spec in
-    (match allocators with
-    | None -> ()
-    | Some names ->
-        (* full spec validation up front — a bad parameter is a usage
-           error (exit 2), not a mid-replay failure *)
-        List.iter
-          (fun n ->
-            match Lp_allocsim.Registry.backend_of_spec n with
-            | Ok _ -> ()
-            | Error msg ->
-                Printf.eprintf "lpalloc simulate: %s\n" msg;
-                exit 2)
-          names);
+    (* full spec validation up front — a bad parameter or an empty spec is
+       a usage error (exit 2), not a mid-replay failure *)
+    let allocators =
+      Option.map
+        (fun list ->
+          match Lp_allocsim.Registry.specs_of_list list with
+          | Ok specs -> specs
+          | Error msg ->
+              Printf.eprintf "lpalloc simulate: %s\n" msg;
+              exit 2)
+        allocators
+    in
     let config = { Lifetime.Config.default with short_lived_threshold = threshold } in
     let predictor =
       (* the static oracle is the trained database; online trains itself

@@ -443,14 +443,13 @@ let timings_json () =
 
 let run_bench rev out workloads input scale repeat domains allocators =
   Lp_obs.Timings.set_enabled true;
-  List.iter
-    (fun n ->
-      match Lp_allocsim.Registry.backend_of_spec n with
-      | Ok _ -> ()
-      | Error msg ->
-          Printf.eprintf "lpbench: %s\n" msg;
-          exit 2)
-    allocators;
+  let allocators =
+    match Lp_allocsim.Registry.specs_of_list allocators with
+    | Ok specs -> specs
+    | Error msg ->
+        Printf.eprintf "lpbench: %s\n" msg;
+        exit 2
+  in
   List.iter
     (fun p ->
       if not (List.mem p Lp_workloads.Registry.names) then begin
@@ -703,12 +702,15 @@ let () =
       & info [ "domains" ] ~docv:"N"
           ~doc:"Domains for the parallel-replay phase (default: the Parallel pool size).")
   in
+  (* split by [Registry.specs_of_list]: [Arg.list] drops empty elements *)
   let allocators_arg =
     Arg.(
       value
-      & opt (list string) (Lp_allocsim.Registry.names ())
+      & opt string (String.concat "," (Lp_allocsim.Registry.names ()))
       & info [ "allocators" ] ~docv:"NAMES"
-          ~doc:"Registry backends to replay (default: every registered backend).")
+          ~doc:
+            "Comma-separated registry backends to replay (default: every \
+             registered backend); an empty one is a usage error (exit 2).")
   in
   let validate_arg =
     Arg.(

@@ -9,7 +9,8 @@ type arena_state = {
       (* one byte per arena offset, '\001' where a live object starts:
          arena objects carry no headers, so this is how a free knows its
          address is live.  Empty until the arena first bumps, so a replay
-         pays only for the arenas it uses *)
+         pays only for the arenas it uses; then the pooled map of its
+         index, if one is long enough *)
 }
 
 (* The general-purpose fallback, existentially packed: the arena layer is a
@@ -28,6 +29,10 @@ type general = G : (module Backend.BACKEND with type t = 'a) * 'a -> general
 
 type t = {
   config : config;
+  lease : Bytes.t array Scratch.lease;
+  mutable maps : Bytes.t array;
+      (* leased start maps by arena index, [Bytes.empty] where none has
+         been made; all zero outside a replay *)
   arenas : arena_state array;
   mutable current : int;
   general : general;
@@ -42,18 +47,31 @@ type t = {
   mutable free_instr : int;
 }
 
+let pool = Scratch.pool (fun () -> [||])
+
 let create ?(config = default_config)
-    ?(fallback : Backend.t = (module First_fit.Backend)) ?hint () =
+    ?(fallback : Backend.t = (module First_fit.Backend)) () =
   let area_bytes = config.n_arenas * config.arena_size in
   let (module F) = fallback in
+  (* the general heap begins above the arena area *)
+  let general = G ((module F), F.create ~base:area_bytes ()) in
+  let lease = Scratch.lease pool in
+  let maps = Scratch.leased lease in
+  let maps =
+    if Array.length maps >= config.n_arenas then maps
+    else
+      Array.append maps
+        (Array.make (config.n_arenas - Array.length maps) Bytes.empty)
+  in
   {
     config;
+    lease;
+    maps;
     arenas =
       Array.init config.n_arenas (fun _ ->
           { alloc_ptr = 0; count = 0; starts = Bytes.empty });
     current = 0;
-    (* the general heap begins above the arena area *)
-    general = G ((module F), F.create ~base:area_bytes ?hint ());
+    general;
     area_bytes;
     arena_allocs = 0;
     arena_bytes = 0;
@@ -96,8 +114,11 @@ let find_empty_arena t =
 
 let bump t idx size =
   let a = t.arenas.(idx) in
-  if Bytes.length a.starts = 0 then
-    a.starts <- Bytes.make t.config.arena_size '\000';
+  if Bytes.length a.starts = 0 then begin
+    if Bytes.length t.maps.(idx) < t.config.arena_size then
+      t.maps.(idx) <- Bytes.make t.config.arena_size '\000';
+    a.starts <- t.maps.(idx)
+  end;
   (* callers check [alloc_ptr + size <= arena_size] with [size > 0] *)
   Bytes.unsafe_set a.starts a.alloc_ptr '\001';
   let addr = arena_addr t idx a.alloc_ptr in
@@ -186,6 +207,17 @@ let stats t : Metrics.arena_stats =
     overflow_allocs = t.overflow_allocs;
   }
 
+(* Bytes at or above an arena's bump pointer are zero: a reset rewinds
+   only an arena whose objects are all freed. *)
+let release t =
+  Array.iter
+    (fun a ->
+      if Bytes.length a.starts > 0 then Bytes.fill a.starts 0 a.alloc_ptr '\000')
+    t.arenas;
+  Scratch.give_back t.lease t.maps;
+  let (G ((module F), g)) = t.general in
+  F.release g
+
 let check_invariants t =
   Array.iteri
     (fun i a ->
@@ -221,7 +253,8 @@ let make_backend ?config ?fallback () : Backend.t =
 
     let name = "arena"
     let uses_prediction = true
-    let create ?base:_ ?hint () = create ?config ?fallback ?hint ()
+    let create ?base:_ () = create ?config ?fallback ()
+    let release = release
     let alloc = alloc
     let free = free
 
@@ -245,7 +278,8 @@ module Backend_default : Backend.BACKEND with type t = t = struct
 
   let name = "arena"
   let uses_prediction = true
-  let create ?base:_ ?hint () = create ?hint ()
+  let create ?base:_ () = create ()
+  let release = release
   let alloc = alloc
   let free = free
   let realloc = None

@@ -32,17 +32,21 @@ val default_config : config
 
 type t
 
-val create : ?config:config -> ?fallback:Backend.t -> ?hint:int -> unit -> t
+val create : ?config:config -> ?fallback:Backend.t -> unit -> t
 (** [fallback] is the general-purpose backend for unpredicted, oversized
     and overflowing objects; it is instantiated with its base just above
-    the arena area.  Defaults to first-fit, the paper's choice.  [hint]
-    (expected object count) is forwarded to the fallback, which may use
-    it to pre-size its tables; it never affects simulated metrics.  The
+    the arena area.  Defaults to first-fit, the paper's choice.  The
     arena area itself costs nothing up front: each arena's byte map of
-    live object starts is created when that arena first bump-allocates,
+    live object starts is taken when that arena first bump-allocates,
     so even the largest geometry the registry accepts
     ([arena:n=4096:chunk=1048576], a 4 GiB area) replays in proportion
-    to the arenas it touches. *)
+    to the arenas it touches.  The maps are leased from the calling
+    domain's pool, and a map made for one replay serves the same arena
+    index in the next (see {!release}). *)
+
+val release : t -> unit
+(** Gives the start maps back to their domain's pool, reset to zero, and
+    releases the fallback; [t] must not be used afterwards. *)
 
 val alloc : t -> size:int -> predicted:bool -> int
 (** Returns the object's address.  Charges the per-allocation lifetime

@@ -3,7 +3,8 @@ module type BACKEND = sig
 
   val name : string
   val uses_prediction : bool
-  val create : ?base:int -> ?hint:int -> unit -> t
+  val create : ?base:int -> unit -> t
+  val release : t -> unit
   val alloc : t -> size:int -> predicted:bool -> int
   val free : t -> int -> unit
 

@@ -8,13 +8,21 @@
     then add an entry to the registry's table.
 
     Contract:
-    - [create ?base ?hint ()] returns a fresh allocator whose simulated
-      address space starts at [base] (default 0).  [hint] is the expected
-      object count of the workload (the driver passes the trace's object
-      count); backends use it to pre-size hot tables and may ignore it —
-      it never affects simulated metrics, only wall-clock speed.  All
-      state is private to the returned value, so independent instances may
-      replay concurrently on separate domains.
+    - [create ?base ()] returns a fresh allocator whose simulated
+      address space starts at [base] (default 0).  Its tables start small
+      and grow with the simulated break.  A backend may lease them from
+      its per-domain {!Scratch.pool}; a second live instance on the same
+      domain then gets fresh ones, so all state is private to the
+      returned value and independent instances may replay concurrently
+      on separate domains.
+    - [release t] ends the allocator's life: it gives any leased tables
+      back to the calling domain's pool, their written prefix reset, so
+      the next instance cannot tell them from fresh ones.  [t] must not
+      be used afterwards.  {!Driver.run} calls it once per replay, after
+      the metrics are read, also when the replay fails; an allocator
+      that is never released keeps its tables, and later instances on
+      its domain get fresh ones.  A backend that wraps another (the
+      arena's fallback, the sanitizer) releases what it wraps.
     - [alloc t ~size ~predicted] returns the payload address of a new
       block.  [predicted] is the lifetime predictor's verdict for this
       object; backends that do not segregate by lifetime ignore it (and
@@ -54,7 +62,8 @@ module type BACKEND = sig
   (** True only for backends that act on the [predicted] flag; the driver
       skips the predictor (and its instruction cost) for the rest. *)
 
-  val create : ?base:int -> ?hint:int -> unit -> t
+  val create : ?base:int -> unit -> t
+  val release : t -> unit
   val alloc : t -> size:int -> predicted:bool -> int
   val free : t -> int -> unit
 
@@ -75,8 +84,8 @@ module type BACKEND = sig
 end
 
 type t = (module BACKEND)
-(** A backend, first-class.  {!Driver.run} instantiates it fresh per
-    replay. *)
+(** A backend, first-class.  {!Driver.run} instantiates it per replay
+    and releases it when the replay ends. *)
 
 val name : t -> string
 val uses_prediction : t -> bool

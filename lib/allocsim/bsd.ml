@@ -8,7 +8,8 @@
    injective — in place of the seed's hashtable.  Pop/push order is LIFO
    exactly like the list representation and pages are carved in the same
    address order, so placements and Cost_model charges are byte-identical
-   to the seed (golden-metrics test). *)
+   to the seed (golden-metrics test).  The class map grows with the break
+   and is leased from a per-domain {!Scratch.pool}. *)
 
 let header = 8
 let page = 4096
@@ -17,6 +18,7 @@ let max_class = 30
 
 type t = {
   base : int;
+  lease : Bytes.t Scratch.lease;
   buckets : Int_stack.t array;  (* size class -> free payload addresses, LIFO *)
   mutable class_of : Bytes.t;  (* (payload-base-header)/16 -> class + 1; 0 = free *)
   mutable brk : int;
@@ -26,11 +28,17 @@ type t = {
   mutable frees : int;
 }
 
-let create ?(base = 0) ?(hint = 1024) () =
+(* a fresh class map is all zero; [release] restores that on what a
+   replay wrote *)
+let pool = Scratch.pool (fun () -> Bytes.make 256 '\000')
+
+let create ?(base = 0) () =
+  let lease = Scratch.lease pool in
   {
     base;
+    lease;
     buckets = Array.init (max_class + 1) (fun _ -> Int_stack.create ());
-    class_of = Bytes.make (max 256 (min hint 262144)) '\000';
+    class_of = Scratch.leased lease;
     brk = base;
     alloc_instr = 0;
     free_instr = 0;
@@ -38,10 +46,12 @@ let create ?(base = 0) ?(hint = 1024) () =
     frees = 0;
   }
 
-let class_for size =
-  let need = size + header in
-  let rec go c = if 1 lsl c >= need then c else go (c + 1) in
-  go min_class
+(* the smallest class from [c] up whose blocks hold [need] bytes; at top
+   level, so a call allocates no closure *)
+let rec smallest_class need c =
+  if 1 lsl c >= need then c else smallest_class need (c + 1)
+
+let class_for size = smallest_class (size + header) min_class
 
 (* grow the class map to cover the current break *)
 let ensure_map t =
@@ -122,12 +132,20 @@ let frees t = t.frees
 
 let charge_alloc t n = t.alloc_instr <- t.alloc_instr + n
 
+(* payload slots lie below the break *)
+let release t =
+  Bytes.fill t.class_of 0
+    (min (Bytes.length t.class_of) ((t.brk - t.base) lsr 4))
+    '\000';
+  Scratch.give_back t.lease t.class_of
+
 module Backend : Backend.BACKEND with type t = t = struct
   type nonrec t = t
 
   let name = "bsd"
   let uses_prediction = false
-  let create ?base ?hint () = create ?base ?hint ()
+  let create ?base () = create ?base ()
+  let release = release
   let alloc t ~size ~predicted:_ = alloc t size
   let free = free
 

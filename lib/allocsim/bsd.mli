@@ -9,9 +9,13 @@
 
 type t
 
-val create : ?base:int -> ?hint:int -> unit -> t
-(** [hint] is the expected object count; it pre-sizes the payload-class
-    map (a speed knob only — simulated metrics are unaffected). *)
+val create : ?base:int -> unit -> t
+(** The payload-class map starts small and grows with the break; it is
+    leased from the calling domain's pool (see {!release}). *)
+
+val release : t -> unit
+(** Gives the class map back to its domain's pool, reset to its fresh
+    contents; [t] must not be used afterwards. *)
 
 val alloc : t -> int -> int
 (** @raise Invalid_argument if size is not positive. *)

@@ -124,10 +124,13 @@ let extend a ~keep n d =
    paid tens of millions of times per run. *)
 let replay ?cache ?predictor (module B : Backend.BACKEND) ~hint feed : Metrics.t
     =
-  (* the object count pre-sizes backend tables; a pure speed knob *)
-  let b = B.create ~hint () in
+  let b = B.create () in
   let scratch = Scratch.acquire () in
-  Fun.protect ~finally:(fun () -> Scratch.release scratch) @@ fun () ->
+  (* the metrics are read before the backend gives its tables back *)
+  Fun.protect ~finally:(fun () ->
+      Scratch.release scratch;
+      B.release b)
+  @@ fun () ->
   let live = ref 0 in
   let max_live = ref 0 in
   let total_bytes = ref 0 in

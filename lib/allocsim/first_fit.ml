@@ -13,6 +13,9 @@
    int array ([(payload - base) / 8 -> block offset], 0 = none) in place
    of the seed's hashtable.
 
+   Both tables are leased from a per-domain {!Scratch.pool} and given
+   back by [release], so a candidate sweep reuses one pair per domain.
+
    The representation is the ONLY thing that changed: placement order,
    rover semantics and every Cost_model charge are byte-identical to the
    seed implementation, enforced by test/golden_metrics.expected and the
@@ -35,8 +38,12 @@ let nil = 0
 
 type policy = First | Best
 
+(* the leased tables: [store] and [by_payload] below *)
+type tables = { blocks : int array; payloads : int array }
+
 type t = {
   base : int;
+  lease : tables Scratch.lease;
   sbrk_chunk : int;
   policy : policy;
   mutable store : int array;  (* block records; record 0 is the sentinel *)
@@ -61,13 +68,22 @@ type t = {
    not for zero-filling tables sized by the trace's object count. *)
 let initial_blocks = 64
 
+let pool =
+  Scratch.pool (fun () ->
+      {
+        blocks = Array.make (initial_blocks * stride) 0;
+        payloads = Array.make initial_blocks 0;
+      })
+
 let default_sbrk_chunk = 8192
 
-let create ?(base = 0) ?hint:_ ?(sbrk_chunk = default_sbrk_chunk) ?(policy = First) () =
-  let store = Array.make (initial_blocks * stride) 0 in
+let create ?(base = 0) ?(sbrk_chunk = default_sbrk_chunk) ?(policy = First) () =
+  let lease = Scratch.lease pool in
+  let { blocks = store; payloads = by_payload } = Scratch.leased lease in
   store.(f_addr) <- -1 (* the sentinel never matches a real address *);
   {
     base;
+    lease;
     sbrk_chunk;
     policy;
     store;
@@ -79,7 +95,7 @@ let create ?(base = 0) ?hint:_ ?(sbrk_chunk = default_sbrk_chunk) ?(policy = Fir
     rover = nil;
     brk = base;
     max_brk = base;
-    by_payload = Array.make initial_blocks 0;
+    by_payload;
     live = 0;
     alloc_instr = 0;
     free_instr = 0;
@@ -122,7 +138,7 @@ let new_block t ~addr ~size =
   set t b f_fnext nil;
   b
 
-let release t b =
+let recycle t b =
   set t b f_fnext t.pool;
   t.pool <- b
 
@@ -307,7 +323,7 @@ let free t payload =
     free_list_remove t n;
     remove_block t n;
     set t b f_size (get t b f_size + get t n f_size);
-    release t n
+    recycle t n
   end;
   (* coalesce with prev *)
   let p = get t b f_prev in
@@ -315,7 +331,7 @@ let free t payload =
     t.free_instr <- t.free_instr + Cost_model.ff_coalesce;
     remove_block t b;
     set t p f_size (get t p f_size + get t b f_size);
-    release t b
+    recycle t b
   end
   else free_list_insert t b
 
@@ -330,6 +346,15 @@ let allocs t = t.allocs
 let frees t = t.frees
 
 let charge_alloc t n = t.alloc_instr <- t.alloc_instr + n
+
+(* Payload slots lie below the break.  The store needs no reset: the
+   sentinel is never written, and [new_block] writes every field of a
+   record before any is read. *)
+let release t =
+  Array.fill t.by_payload 0
+    (min (Array.length t.by_payload) ((t.brk - t.base) lsr 3))
+    0;
+  Scratch.give_back t.lease { blocks = t.store; payloads = t.by_payload }
 
 let free_blocks t =
   let n = ref 0 in
@@ -396,7 +421,8 @@ module Best_backend : Backend.BACKEND with type t = t = struct
 
   let name = "best-fit"
   let uses_prediction = false
-  let create ?base ?hint () = create ?base ?hint ~policy:Best ()
+  let create ?base () = create ?base ~policy:Best ()
+  let release = release
   let alloc t ~size ~predicted:_ = alloc t size
   let free = free
 
@@ -422,7 +448,8 @@ module Backend : Backend.BACKEND with type t = t = struct
 
   let name = "first-fit"
   let uses_prediction = false
-  let create ?base ?hint () = create ?base ?hint ()
+  let create ?base () = create ?base ()
+  let release = release
   let alloc t ~size ~predicted:_ = alloc t size
   let free = free
   let realloc = None
@@ -451,7 +478,8 @@ let make_backend ?(sbrk_chunk = default_sbrk_chunk) ?(policy = First) () :
 
         let name = name
         let uses_prediction = false
-        let create ?base ?hint () = create ?base ?hint ~sbrk_chunk ~policy ()
+        let create ?base () = create ?base ~sbrk_chunk ~policy ()
+        let release = release
         let alloc t ~size ~predicted:_ = alloc t size
         let free = free
         let realloc = None

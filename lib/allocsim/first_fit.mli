@@ -19,15 +19,20 @@ type policy =
 val default_sbrk_chunk : int
 (** 8192, matching the 8 KB multiples of the paper's Table 8 heap sizes. *)
 
-val create : ?base:int -> ?hint:int -> ?sbrk_chunk:int -> ?policy:policy -> unit -> t
+val create : ?base:int -> ?sbrk_chunk:int -> ?policy:policy -> unit -> t
 (** [base] is the address the heap starts at (default 0; the arena
-    allocator puts its arena area below).  [hint] (the expected object
-    count of the {!Backend} contract) is ignored: the block store and the
+    allocator puts its arena area below).  The block store and the
     payload-address map start small and grow with the heap, so creating
-    an allocator costs the same for any trace.
+    an allocator costs the same for any trace; both are leased from the
+    calling domain's pool (see {!release}).
     [sbrk_chunk] is the granularity of simulated [sbrk] growth (default
     {!default_sbrk_chunk}).
     [policy] defaults to {!First}. *)
+
+val release : t -> unit
+(** Gives the allocator's tables back to its domain's pool, reset to
+    their fresh contents; [t] must not be used afterwards.  An allocator
+    that is never released keeps its tables (see {!Backend.BACKEND}). *)
 
 val alloc : t -> int -> int
 (** [alloc t size] returns the payload address of a new block.  The block

@@ -131,5 +131,15 @@ let canonical_name name = (find name).name
 let backend_of_spec ?arena_config spec =
   Result.map (build ?arena_config) (Spec.parse family spec)
 
+let specs_of_list list =
+  let specs = String.split_on_char ',' list in
+  match
+    List.find_map
+      (fun s -> match backend_of_spec s with Ok _ -> None | Error msg -> Some msg)
+      specs
+  with
+  | Some msg -> Error msg
+  | None -> Ok specs
+
 let canonical_spec spec = Result.map Spec.to_string (Spec.parse family spec)
 let grammar_markdown () = Spec.markdown family

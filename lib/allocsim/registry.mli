@@ -45,6 +45,12 @@ val backend_of_spec :
     take [sbrk=<bytes>]; [segfit] takes [slab=<n>+<n>+...]; [arena] takes
     [n=<count>], [chunk=<bytes>] and [fallback=<name>]; [bsd] takes none. *)
 
+val specs_of_list : string -> (string list, string) result
+(** A comma-separated list of specs, the CLIs' [--allocators] value,
+    split and each checked by {!backend_of_spec}.  An empty list or an
+    empty element is an [empty backend spec] error, like any malformed
+    spec. *)
+
 val canonical_spec : string -> (string, string) result
 (** {!Spec.to_string} of the parsed spec: [seg:slab=16+32] becomes
     [segfit:slab=16+32] and [arena:n=16] collapses to [arena].  The

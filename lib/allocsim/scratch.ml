@@ -82,3 +82,39 @@ let predict_tables s ~n_objects =
     Bytes.fill s.flag_of 0 n_objects '\000'
   end;
   (s.birth_of, s.flag_of)
+
+(* The same discipline for the tables a backend allocates per replay:
+   First_fit's block store and payload map, Bsd's class map, Segfit's
+   origin map, page table and class-lookup bytes, the arena's start maps.
+   A pool keeps one set of tables per domain; a backend leases it at
+   [create] and gives it back at [release], after resetting the prefix
+   its replay wrote, so a lease cannot tell pooled tables from fresh
+   ones.  A lease taken while the domain's tables are out gets fresh
+   ones, which die with the allocator. *)
+
+type 'a cell = { mutable tables : 'a; mutable busy : bool; mutable warm : bool }
+type 'a pool = { fresh : unit -> 'a; cell : 'a cell Domain.DLS.key }
+type 'a lease = 'a cell
+
+let pool fresh =
+  {
+    fresh;
+    cell =
+      Domain.DLS.new_key (fun () -> { tables = fresh (); busy = false; warm = false });
+  }
+
+let lease p =
+  let c = Domain.DLS.get p.cell in
+  if c.busy then { tables = p.fresh (); busy = true; warm = false }
+  else begin
+    if c.warm then Lp_obs.Timings.count "replay.table_reuses" 1;
+    c.busy <- true;
+    c
+  end
+
+let leased c = c.tables
+
+let give_back c tables =
+  c.tables <- tables;
+  c.warm <- true;
+  c.busy <- false

@@ -6,8 +6,11 @@
    origin map becomes a direct-address variant array keyed by
    [(payload - heap_base - header) / 16] — slab cells are 16-byte-aligned
    page offsets and span bases are page-aligned, so the key is injective.
-   Placement decisions and Cost_model charges are byte-identical to the
-   seed (golden-metrics test). *)
+   The page table is likewise a direct-address array keyed by page.  Placement decisions and Cost_model charges are
+   byte-identical to the seed (golden-metrics test).
+
+   Both maps grow with the break; they and the class-lookup bytes are
+   leased from a per-domain {!Scratch.pool} and given back by [release]. *)
 
 let header = 8
 let page = 4096
@@ -34,23 +37,30 @@ type slab = {
   mutable live : int;
   mutable next_cell : int;  (* offset of the first never-used byte *)
   freed : Int_stack.t;  (* payload addresses, LIFO *)
+  mutable small : origin;
+      (* [Small] of this slab, set once by [fresh_slab] and shared by every
+         map entry that points here, so placing a cell allocates nothing *)
 }
 
-type size_class = { mutable nonfull : slab list }
-
-type origin =
+and origin =
   | No  (* not a live payload *)
   | Small of slab
   | Large of int  (* span pages *)
 
+type size_class = { mutable nonfull : slab list }
+
+(* the leased tables: [origin_of], [slab_at] and [cls_of_need] below *)
+type tables = { origins : origin array; slabs : origin array; needs : Bytes.t }
+
 type t = {
   heap_base : int;
+  lease : tables Scratch.lease;
   cells : int array;  (* ascending cell sizes, one per size class *)
   cls_of_need : Bytes.t;  (* header-inclusive byte need -> class index *)
   max_cell : int;  (* last entry of [cells] *)
   classes : size_class array;
   mutable origin_of : origin array;  (* (payload-heap_base-header)/16 -> origin *)
-  slab_of_page : (int, slab) Hashtbl.t;
+  mutable slab_at : origin array;  (* (page-heap_base)/page -> Small slab in use *)
   free_pages : Int_stack.t;  (* single recycled pages *)
   free_spans : (int, int list) Hashtbl.t;  (* n pages -> span base addrs *)
   mutable brk : int;
@@ -78,13 +88,25 @@ let validate_classes cells =
         fail "size classes not strictly ascending at %d" c)
     cells
 
-let create ?(base = 0) ?(hint = 1024) ?(classes = default_classes) () =
+(* Fresh maps are all [No]; [release] restores that on what a replay
+   wrote.  The class-lookup bytes cover the largest ladder, and [create]
+   rewrites the prefix its ladder reads. *)
+let pool =
+  Scratch.pool (fun () ->
+      {
+        origins = Array.make 256 No;
+        slabs = Array.make 16 No;
+        needs = Bytes.create (page + 1);
+      })
+
+let create ?(base = 0) ?(classes = default_classes) () =
   validate_classes classes;
   let cells = Array.copy classes in
   let n_cls = Array.length cells in
   let max_cell = cells.(n_cls - 1) in
+  let lease = Scratch.lease pool in
+  let { origins; slabs; needs = cls_of_need } = Scratch.leased lease in
   (* O(1) class lookup: byte need (size + header) -> smallest fitting class *)
-  let cls_of_need = Bytes.create (max_cell + 1) in
   let cls = ref 0 in
   for need = 0 to max_cell do
     if need > cells.(!cls) then incr cls;
@@ -92,12 +114,13 @@ let create ?(base = 0) ?(hint = 1024) ?(classes = default_classes) () =
   done;
   {
     heap_base = base;
+    lease;
     cells;
     cls_of_need;
     max_cell;
     classes = Array.init n_cls (fun _ -> { nonfull = [] });
-    origin_of = Array.make (max 256 (min hint 262144)) No;
-    slab_of_page = Hashtbl.create (max 64 (min hint 65536 / 8));
+    origin_of = origins;
+    slab_at = slabs;
     free_pages = Int_stack.create ();
     free_spans = Hashtbl.create 8;
     brk = base;
@@ -117,19 +140,26 @@ let class_for t size =
   if need > t.max_cell then -1
   else Char.code (Bytes.unsafe_get t.cls_of_need need)
 
-(* grow the origin map to cover the current break *)
-let ensure_map t =
-  let need = (t.brk - t.heap_base) lsr 4 in
-  let cap = Array.length t.origin_of in
-  if need > cap then begin
+(* [a] itself if it has [need] slots, else a copy at least doubled *)
+let cover a need =
+  let cap = Array.length a in
+  if need <= cap then a
+  else begin
     let cap' = ref (cap * 2) in
     while !cap' < need do cap' := !cap' * 2 done;
     let bigger = Array.make !cap' No in
-    Array.blit t.origin_of 0 bigger 0 cap;
-    t.origin_of <- bigger
+    Array.blit a 0 bigger 0 cap;
+    bigger
   end
 
+(* grow the origin map and the page table to cover the current break *)
+let ensure_map t =
+  let span = t.brk - t.heap_base in
+  t.origin_of <- cover t.origin_of (span lsr 4);
+  t.slab_at <- cover t.slab_at (span / page)
+
 let origin_index t payload = (payload - t.heap_base - header) lsr 4
+let page_index t base = (base - t.heap_base) / page
 
 let sbrk_pages t n =
   let addr = t.brk in
@@ -157,9 +187,12 @@ let fresh_slab t cls =
       live = 0;
       next_cell = 0;
       freed = Int_stack.create ();
+      small = No;
     }
   in
-  Hashtbl.replace t.slab_of_page (base / page) slab;
+  (* not [let rec], which builds the record twice *)
+  slab.small <- Small slab;
+  Array.unsafe_set t.slab_at (page_index t base) slab.small;
   t.slabs_created <- t.slabs_created + 1;
   slab
 
@@ -187,7 +220,7 @@ let alloc_small t cls =
   slab.live <- slab.live + 1;
   if slab_exhausted slab then
     sc.nonfull <- List.filter (fun s -> s != slab) sc.nonfull;
-  Array.unsafe_set t.origin_of (origin_index t payload) (Small slab);
+  Array.unsafe_set t.origin_of (origin_index t payload) slab.small;
   payload
 
 let free_small t payload slab =
@@ -199,7 +232,7 @@ let free_small t payload slab =
     (* the page is empty: return it to the pool for any class to reuse *)
     t.free_instr <- t.free_instr + Cost_model.seg_recycle;
     sc.nonfull <- List.filter (fun s -> s != slab) sc.nonfull;
-    Hashtbl.remove t.slab_of_page (slab.base / page);
+    Array.unsafe_set t.slab_at (page_index t slab.base) No;
     Int_stack.push t.free_pages slab.base;
     t.pages_recycled <- t.pages_recycled + 1
   end
@@ -288,6 +321,15 @@ let free_instr t = t.free_instr
 let allocs t = t.allocs
 let frees t = t.frees
 let charge_alloc t n = t.alloc_instr <- t.alloc_instr + n
+
+(* map slots lie below the break *)
+let release t =
+  let span = t.brk - t.heap_base in
+  Array.fill t.origin_of 0 (min (Array.length t.origin_of) (span lsr 4)) No;
+  Array.fill t.slab_at 0 (min (Array.length t.slab_at) (span / page)) No;
+  Scratch.give_back t.lease
+    { origins = t.origin_of; slabs = t.slab_at; needs = t.cls_of_need }
+
 let slabs_created t = t.slabs_created
 let pages_recycled t = t.pages_recycled
 let large_spans t = t.large_spans
@@ -310,15 +352,19 @@ let check_invariants t =
           Hashtbl.replace per_slab slab.base
             (1 + Option.value (Hashtbl.find_opt per_slab slab.base) ~default:0))
     t.origin_of;
-  Hashtbl.iter
-    (fun _ slab ->
-      let counted = Option.value (Hashtbl.find_opt per_slab slab.base) ~default:0 in
-      if slab.live <> counted then
-        failwith
-          (Printf.sprintf "slab at %d: live=%d but %d live payloads" slab.base
-             slab.live counted);
-      if slab.next_cell > page then failwith "slab bump ran past its page")
-    t.slab_of_page;
+  Array.iter
+    (function
+      | Small slab ->
+          let counted =
+            Option.value (Hashtbl.find_opt per_slab slab.base) ~default:0
+          in
+          if slab.live <> counted then
+            failwith
+              (Printf.sprintf "slab at %d: live=%d but %d live payloads"
+                 slab.base slab.live counted);
+          if slab.next_cell > page then failwith "slab bump ran past its page"
+      | No | Large _ -> ())
+    t.slab_at;
   (* nonfull lists only hold slabs with room *)
   Array.iter
     (fun sc ->
@@ -337,7 +383,8 @@ module Backend : Backend.BACKEND with type t = t = struct
 
   let name = "segfit"
   let uses_prediction = false
-  let create ?base ?hint () = create ?base ?hint ()
+  let create ?base () = create ?base ()
+  let release = release
   let alloc t ~size ~predicted:_ = alloc t size
   let free = free
 
@@ -370,7 +417,7 @@ end
 let make_backend ?(classes = default_classes) () : Backend_api.t =
   if classes = default_classes then (module Backend)
   else
-    let create' ?base ?hint () = create ?base ?hint ~classes () in
+    let create' ?base () = create ?base ~classes () in
     (module struct
       include Backend
 

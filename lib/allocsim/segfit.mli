@@ -19,9 +19,10 @@ val default_classes : int array
     has always used; [create] without [classes] is byte-identical to the
     pre-parameterized allocator. *)
 
-val create : ?base:int -> ?hint:int -> ?classes:int array -> unit -> t
-(** [hint] is the expected object count; it pre-sizes the payload-origin
-    map (a speed knob only — simulated metrics are unaffected).
+val create : ?base:int -> ?classes:int array -> unit -> t
+(** The payload-origin map and the page table start small and grow with
+    the break; they and the class-lookup bytes are leased from the
+    calling domain's pool (see {!release}).
 
     [classes] (default {!default_classes}) is the slab cell-size ladder:
     strictly ascending, each a multiple of 16 (the payload-origin map's
@@ -29,6 +30,10 @@ val create : ?base:int -> ?hint:int -> ?classes:int array -> unit -> t
     [16, 4096], at most 128 entries.  Objects needing more than the last
     entry (header included) take the whole-page span path.
     @raise Invalid_argument on a ladder violating those constraints. *)
+
+val release : t -> unit
+(** Gives the allocator's tables back to its domain's pool, reset to
+    their fresh contents; [t] must not be used afterwards. *)
 
 val alloc : t -> int -> int
 (** @raise Invalid_argument if size is not positive. *)

@@ -42,8 +42,10 @@ let wrap ?(alignment = 1) ?boundary (module B : Lp_allocsim.Backend.BACKEND) :
        so a sanitized replay is byte-identical to an unsanitized one *)
     let name = B.name
     let uses_prediction = B.uses_prediction
-    let create ?base ?hint () =
-      { inner = B.create ?base ?hint (); shadow = Shadow.empty; ops = 0 }
+    let create ?base () =
+      { inner = B.create ?base (); shadow = Shadow.empty; ops = 0 }
+
+    let release t = B.release t.inner
 
     let violation t ~rule ~site message =
       raise

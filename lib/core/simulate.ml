@@ -68,19 +68,25 @@ let resolve_spec ~arena_config name =
    cost under its own name and [cce] under ["<name>-cce"].  [job backend
    predict_cost] builds one replay job, with [None] for a backend that
    ignores prediction; the oracle instance must be built inside the job,
-   so each replay owns private lookup (and any online) state. *)
+   so each replay owns private lookup (and any online) state.  Specs
+   with one canonical form ([segfit], [seg]) name one job, the first. *)
 let build_jobs ~allocators ~wrap ~config ~cce job =
   let arena_config = Config.arena_config config in
+  let seen = Hashtbl.create 8 in
   List.concat_map
     (fun name ->
       let backend, display = resolve_spec ~arena_config name in
-      let backend = wrap backend in
-      if Lp_allocsim.Backend.uses_prediction backend then
-        [
-          (display, job backend (Some Lp_allocsim.Cost_model.predict_len4));
-          (display ^ "-cce", job backend (Some cce));
-        ]
-      else [ (display, job backend None) ])
+      if Hashtbl.mem seen display then []
+      else begin
+        Hashtbl.add seen display ();
+        let backend = wrap backend in
+        if Lp_allocsim.Backend.uses_prediction backend then
+          [
+            (display, job backend (Some Lp_allocsim.Cost_model.predict_len4));
+            (display ^ "-cce", job backend (Some cce));
+          ]
+        else [ (display, job backend None) ]
+      end)
     allocators
 
 let results jobs metrics =

@@ -38,7 +38,8 @@ val metrics : t -> string -> Lp_allocsim.Metrics.t
 (** Result by job name ([Failure] if absent, listing the names present). *)
 
 val names : t -> string list
-(** Job names, in replay order. *)
+(** Job names, in replay order: one per canonical spec, the first given
+    ([segfit] and [seg] name one job, ["segfit"]). *)
 
 val first_fit : t -> Lp_allocsim.Metrics.t
 val bsd : t -> Lp_allocsim.Metrics.t

@@ -417,17 +417,19 @@ let allocated_words f =
   int_of_float ((Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8))
 
 (* Creating an allocator costs a constant: no table is pre-sized by the
-   object hint or by the arena area. *)
+   trace or by the arena area.  Each is released, leaving its tables to
+   the domain's pool. *)
 let create_allocates_constant () =
   let small what words =
     Alcotest.(check bool)
       (Printf.sprintf "%s allocates %d words" what words)
       true (words < 2048)
   in
-  small "First_fit.create ~hint:1_000_000"
-    (allocated_words (fun () -> FF.create ~hint:1_000_000 ()));
-  small "Arena.create ~hint:1_000_000"
-    (allocated_words (fun () -> Arena.create ~hint:1_000_000 ()))
+  small "First_fit.create" (allocated_words (fun () -> FF.release (FF.create ())));
+  small "Bsd.create" (allocated_words (fun () -> Bsd.release (Bsd.create ())));
+  small "Segfit.create" (allocated_words (fun () -> Seg.release (Seg.create ())));
+  small "Arena.create"
+    (allocated_words (fun () -> Arena.release (Arena.create ())))
 
 (* The largest geometry the registry accepts is a 4 GiB arena area; a map
    over the whole area could not be allocated.  Predict everything short
@@ -438,14 +440,15 @@ let arena_largest_geometry () =
     | Ok b -> b
     | Error msg -> Alcotest.fail msg
   in
-  let last = ref None in
+  (* the replay's end, before its tables are reset *)
+  let checked = ref false in
   let module Kept = struct
     include B
 
-    let create ?base ?hint () =
-      let t = B.create ?base ?hint () in
-      last := Some t;
-      t
+    let release t =
+      B.check_invariants t;
+      checked := true;
+      B.release t
   end in
   let trace = Lp_workloads.Registry.trace ~scale:1.0 ~program:"perl" ~input:"tiny" () in
   let m =
@@ -453,9 +456,7 @@ let arena_largest_geometry () =
   in
   Alcotest.(check bool) "objects placed in arenas" true
     (Lp_allocsim.Metrics.arena_alloc_pct m > 0.);
-  match !last with
-  | Some t -> B.check_invariants t
-  | None -> Alcotest.fail "the backend was never created"
+  Alcotest.(check bool) "invariants checked at the replay's end" true !checked
 
 let suites =
   [

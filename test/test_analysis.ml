@@ -141,8 +141,10 @@ end) : Lp_allocsim.Backend.BACKEND = struct
   let name = "buggy"
   let uses_prediction = false
 
-  let create ?base:_ ?hint:_ () =
+  let create ?base:_ () =
     { next = P.base; allocs = 0; frees = 0; live = 0; peak = 0 }
+
+  let release _ = ()
 
   let alloc t ~size ~predicted:_ =
     let addr = t.next in

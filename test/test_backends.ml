@@ -65,6 +65,7 @@ let ops_property name =
       if B.max_heap_size t < !peak then
         QCheck.Test.fail_reportf "%s: max heap %d below peak live payload %d"
           name (B.max_heap_size t) !peak;
+      B.release t;
       true)
 
 (* Freed bytes must be reusable: replaying the same alloc-all/free-all
@@ -95,10 +96,189 @@ let reuse_property name =
       if B.max_heap_size t <> steady then
         QCheck.Test.fail_reportf "%s: heap grew from %d to %d on replayed cycles"
           name steady (B.max_heap_size t);
+      B.release t;
       true)
+
+(* -- pooled tables ------------------------------------------------------------- *)
+
+module Driver = Lp_allocsim.Driver
+module Timings = Lp_obs.Timings
+
+(* Backends lease their tables from a per-domain pool and reset what a
+   replay wrote before giving them back, so a replay on a warm pool must
+   be byte-identical to one on a cold pool, that is on a fresh domain.
+   Covered: every registry backend, the arena over each other fallback,
+   one parameterized spec per backend that takes parameters, and each of
+   these under the sanitizer. *)
+let pool_backends () =
+  let names = Lp_allocsim.Registry.names () in
+  let specs =
+    names
+    @ List.filter_map
+        (fun n ->
+          if n = "arena" || n = "first-fit" then None
+          else Some ("arena:fallback=" ^ n))
+        names
+    @ [
+        "first-fit:sbrk=4096";
+        "best-fit:sbrk=16384";
+        "segfit:slab=16+48+96+256";
+        "arena:n=4:chunk=1024:fallback=segfit";
+      ]
+  in
+  List.concat_map
+    (fun spec ->
+      match Lp_allocsim.Registry.backend_of_spec spec with
+      | Error msg -> failwith msg
+      | Ok b -> [ (spec, b); (spec ^ " sanitized", Lp_analysis.Sanitize.wrap b) ])
+    specs
+
+(* the arena sees both verdicts *)
+let pool_predictor =
+  {
+    Driver.predicted = (fun ~obj ~size:_ ~chain:_ ~key:_ -> obj mod 3 <> 0);
+    predict_cost = 18;
+    short_threshold = 32768;
+    on_outcome = None;
+  }
+
+let replay_json trace b =
+  Lp_allocsim.Metrics.to_json (Driver.run ~predictor:pool_predictor trace b)
+
+(* [b] checking its invariants at the end of each replay, where a table
+   leased with stale entries shows (the block map of first-fit, the slab
+   counts of segfit, the start maps of the arena) *)
+let checked (module B : Lp_allocsim.Backend.BACKEND) : Lp_allocsim.Backend.t =
+  (module struct
+    include B
+
+    let release t =
+      B.check_invariants t;
+      B.release t
+  end)
+
+let on_fresh_domain f = Domain.join (Domain.spawn f)
+
+(* [tr] streamed with a free of a never-allocated object halfway, which
+   [check_block] rejects after the blocks before it have replayed *)
+let failing_stream (tr : Lp_trace.Trace.t) =
+  let n = Array.length tr.events in
+  let bad = Lp_trace.Event.Free { obj = tr.n_objects; size = -1 } in
+  Lp_trace.Source.of_trace
+    {
+      tr with
+      events =
+        Array.concat
+          [ Array.sub tr.events 0 (n / 2); [| bad |]; Array.sub tr.events (n / 2) (n - (n / 2)) ];
+    }
+
+let warm_pool_replays_like_cold () =
+  (* pint reallocates; perl, which dirties the pools, is larger *)
+  let tiny program = Lp_workloads.Registry.trace ~scale:1.0 ~program ~input:"tiny" () in
+  let test = tiny "pint" and other = tiny "perl" in
+  let backends = List.map (fun (what, b) -> (what, checked b)) (pool_backends ()) in
+  let cold =
+    List.map (fun (_, b) -> on_fresh_domain (fun () -> replay_json test b)) backends
+  in
+  Timings.reset ();
+  Timings.set_enabled true;
+  Fun.protect ~finally:(fun () -> Timings.set_enabled false) @@ fun () ->
+  let warm, after_failure =
+    on_fresh_domain (fun () ->
+        List.iter (fun (_, b) -> ignore (replay_json other b)) backends;
+        let warm = List.map (fun (_, b) -> replay_json test b) backends in
+        let after_failure =
+          List.map
+            (fun (what, b) ->
+              (match
+                 Driver.run_source ~predictor:pool_predictor (failing_stream other) b
+               with
+              | _ -> Alcotest.failf "%s: the streamed replay should fail" what
+              | exception Failure _ -> ());
+              replay_json test b)
+            backends
+        in
+        (warm, after_failure))
+  in
+  List.iteri
+    (fun i (what, _) ->
+      let cold = List.nth cold i in
+      Alcotest.(check string) (what ^ ": warm = cold") cold (List.nth warm i);
+      Alcotest.(check string)
+        (what ^ ": after a failed stream = cold")
+        cold (List.nth after_failure i))
+    backends;
+  (* every replay after the first round leased tables given back before *)
+  let reuses =
+    Option.value ~default:0 (List.assoc_opt "replay.table_reuses" (Timings.counters ()))
+  in
+  if reuses < 3 * List.length backends then
+    Alcotest.failf "%d table reuses over %d warm replays" reuses
+      (3 * List.length backends)
+
+(* An address live when an allocator was released is not live in the
+   next one, which leases the same tables: its free is rejected.  This
+   is where a stale entry of a map no invariant covers would show (the
+   bsd class map). *)
+let released_tables_are_clean () =
+  on_fresh_domain (fun () ->
+      List.iter
+        (fun name ->
+          let (module B : Lp_allocsim.Backend.BACKEND) =
+            Lp_allocsim.Registry.backend name
+          in
+          let t = B.create () in
+          let addrs =
+            List.init 300 (fun i ->
+                B.alloc t ~size:(1 + (i * 37 mod 900)) ~predicted:(i mod 2 = 0))
+          in
+          B.release t;
+          let t = B.create () in
+          List.iter
+            (fun addr ->
+              match B.free t addr with
+              | () -> Alcotest.failf "%s: freed %d, live in a released allocator" name addr
+              | exception Invalid_argument _ -> ())
+            addrs;
+          B.release t)
+        (Lp_allocsim.Registry.names ()))
+
+(* A second live allocator on a domain gets fresh tables: two allocators
+   given the same calls return the same addresses, and each frees its
+   own, which a shared payload map would refuse the second time. *)
+let live_allocators_share_no_table () =
+  on_fresh_domain (fun () ->
+      List.iter
+        (fun name ->
+          let (module B : Lp_allocsim.Backend.BACKEND) =
+            Lp_allocsim.Registry.backend name
+          in
+          let a = B.create () and b = B.create () in
+          let place t =
+            List.init 100 (fun i ->
+                B.alloc t ~size:(1 + (i * 53 mod 700)) ~predicted:(i mod 3 = 0))
+          in
+          let addrs = place a in
+          Alcotest.(check (list int)) (name ^ ": same placements") addrs (place b);
+          List.iter (B.free a) addrs;
+          List.iter (B.free b) addrs;
+          B.check_invariants a;
+          B.check_invariants b;
+          B.release b;
+          B.release a)
+        (Lp_allocsim.Registry.names ()))
 
 let suites =
   [
+    ( "backend-pool",
+      [
+        Alcotest.test_case "warm pool replays like a cold one" `Quick
+          warm_pool_replays_like_cold;
+        Alcotest.test_case "released tables are clean" `Quick
+          released_tables_are_clean;
+        Alcotest.test_case "live allocators share no table" `Quick
+          live_allocators_share_no_table;
+      ] );
     ( "backend-properties",
       List.concat_map
         (fun name ->

@@ -413,6 +413,52 @@ let source_iter_allocates_only_events () =
     Alcotest.failf "Source.iter over a v3 buffer allocates %.1f words per event"
       per_event
 
+(* A replay on a warm pool leases every backend table, so it allocates
+   nothing in the major heap directly ([major_words] less
+   [promoted_words]).  Before the tables were pooled, each replay of
+   pint's test input allocated 1.7 K (bsd) to 45 K such words (0.12 to
+   0.14 M at the benchmark's scale 8).  Measured on a fresh domain,
+   whose pools no earlier test holds, with its own GC counters. *)
+let warm_replay_allocates_no_major_tables () =
+  let trace = Lp_workloads.Registry.trace ~scale:1.0 ~program:"pint" ~input:"test" () in
+  let predictor =
+    {
+      Lp_allocsim.Driver.predicted = (fun ~obj ~size:_ ~chain:_ ~key:_ -> obj land 1 = 0);
+      predict_cost = 18;
+      short_threshold = 32768;
+      on_outcome = None;
+    }
+  in
+  let replay b = ignore (Lp_allocsim.Driver.run ~predictor trace b) in
+  Domain.join
+  @@ Domain.spawn (fun () ->
+         List.iter
+           (fun spec ->
+             let b =
+               match Lp_allocsim.Registry.backend_of_spec spec with
+               | Ok b -> b
+               | Error msg -> Alcotest.fail msg
+             in
+             replay b;
+             let _, promoted0, major0 = Gc.counters () in
+             replay b;
+             let _, promoted1, major1 = Gc.counters () in
+             let direct = major1 -. major0 -. (promoted1 -. promoted0) in
+             if direct > 1024. then
+               Alcotest.failf "%s: a warm replay allocates %.0f major words directly"
+                 spec direct)
+           [
+             "first-fit";
+             "best-fit";
+             "bsd";
+             "segfit";
+             "segfit:slab=16+48+96+256";
+             "arena";
+             "arena:fallback=bsd";
+             "arena:fallback=segfit";
+             "arena:n=64:chunk=65536";
+           ])
+
 (* -- the streamed lifetime passes hold a few words per object ----------------- *)
 
 (* gawk's tiny input tiled past 100 K objects, so the per-object tables
@@ -547,5 +593,7 @@ let suites =
             `Quick streamed_passes_hold_few_words_per_object;
           Alcotest.test_case "peak counter sees the merges" `Quick
             peak_counter_sees_the_merges;
+          Alcotest.test_case "a warm replay allocates no major tables" `Quick
+            warm_replay_allocates_no_major_tables;
         ] );
   ]

@@ -236,7 +236,20 @@ let spec_errors () =
   expect "arena:n=8:n=8" "duplicate parameter";
   (* every error names the offending spec — the CLI's exit-2 message *)
   Alcotest.(check bool) "error cites the spec" true
-    (contains (spec_error "segfit:slab=7") {|(in spec "segfit:slab=7")|})
+    (contains (spec_error "segfit:slab=7") {|(in spec "segfit:slab=7")|});
+  (* an --allocators list: an empty element is an empty spec *)
+  List.iter
+    (fun list ->
+      match Registry.specs_of_list list with
+      | Ok _ -> Alcotest.failf "list %S unexpectedly parsed" list
+      | Error msg ->
+          Alcotest.(check string) (Printf.sprintf "list %S" list)
+            {|empty backend spec ""|} msg)
+    [ ""; ","; "ff,,bsd"; "ff," ];
+  Alcotest.(check (result (list string) string))
+    "a list keeps its specs as given"
+    (Ok [ "ff"; "seg:slab=16+32" ])
+    (Registry.specs_of_list "ff,seg:slab=16+32")
 
 let canonicalization () =
   let canon spec =
@@ -262,6 +275,43 @@ let canonicalization () =
     (canon "segfit:slab=16+32");
   Alcotest.(check string) "default ladder with an underscore drops" "segfit"
     (canon "segfit:slab=16+32+64+128+256+512+1024+2_048")
+
+(* A simulation keys its results by canonical spec, so specs that
+   canonicalize alike are one replay, reported once, in first-given
+   order. *)
+let equal_specs_replay_once () =
+  let test = tiny "perl" in
+  let config = Lifetime.Config.default in
+  let replays = ref 0 in
+  let counting b =
+    let (module B : Lp_allocsim.Backend.BACKEND) = b in
+    (module struct
+      include B
+
+      let create ?base () =
+        incr replays;
+        B.create ?base ()
+    end : Lp_allocsim.Backend.BACKEND)
+  in
+  let sim =
+    Lifetime.Parallel.with_domains 1 (fun () ->
+        Lifetime.Simulate.run
+          ~allocators:
+            [
+              "segfit";
+              "seg";
+              "arena:n=8";
+              "ff";
+              "arena:n=08";
+              "segfit:slab=16+32+64+128+256+512+1024+2048";
+            ]
+          ~wrap:counting ~config ~oracle:(Lifetime.Oracle.online config) ~test
+          ())
+  in
+  Alcotest.(check (list string)) "one result per canonical spec"
+    [ "segfit"; "arena:n=8"; "arena:n=8-cce"; "first-fit" ]
+    (Lifetime.Simulate.names sim);
+  Alcotest.(check int) "one replay per result" 4 !replays
 
 (* -- the grammar, generated from the parameter rows ---------------------------------- *)
 
@@ -526,6 +576,7 @@ let suites =
           capped_search_replays_missing_baselines;
         Alcotest.test_case "spec parse errors" `Quick spec_errors;
         Alcotest.test_case "spec canonicalization" `Quick canonicalization;
+        Alcotest.test_case "equal specs replay once" `Quick equal_specs_replay_once;
         Alcotest.test_case "README grammar table" `Quick readme_grammar_table;
         Alcotest.test_case "EXPERIMENTS best-config table" `Slow
           experiments_best_config_table;
