@@ -49,8 +49,7 @@ type t = {
 
 let pool = Scratch.pool (fun () -> [||])
 
-let create ?(config = default_config)
-    ?(fallback : Backend.t = (module First_fit.Backend)) () =
+let create ?(config = default_config) ?(fallback = First_fit.backend ()) () =
   let area_bytes = config.n_arenas * config.arena_size in
   let (module F) = fallback in
   (* the general heap begins above the arena area *)
@@ -245,9 +244,7 @@ let check_invariants t =
   let (G ((module F), g)) = t.general in
   F.check_invariants g
 
-(* The default module backend; [backend] below closes over a custom
-   geometry and fallback. *)
-let make_backend ?config ?fallback () : Backend.t =
+let backend ?config ?fallback () : Backend.t =
   (module struct
     type nonrec t = t
 
@@ -270,25 +267,3 @@ let make_backend ?config ?fallback () : Backend.t =
     let extra t = Metrics.Arena_stats (stats t)
     let check_invariants = check_invariants
   end)
-
-let backend = make_backend
-
-module Backend_default : Backend.BACKEND with type t = t = struct
-  type nonrec t = t
-
-  let name = "arena"
-  let uses_prediction = true
-  let create ?base:_ () = create ()
-  let release = release
-  let alloc = alloc
-  let free = free
-  let realloc = None
-  let charge_alloc = charge_prediction
-  let allocs = allocs
-  let frees = frees
-  let alloc_instr = alloc_instr
-  let free_instr = free_instr
-  let max_heap_size = max_heap_size
-  let extra t = Metrics.Arena_stats (stats t)
-  let check_invariants = check_invariants
-end

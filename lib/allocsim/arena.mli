@@ -96,9 +96,7 @@ val check_invariants : t -> unit
     @raise Failure when an invariant is broken. *)
 
 val backend : ?config:config -> ?fallback:Backend.t -> unit -> Backend.t
-(** An arena backend with the given geometry and fallback, for the
-    registry.  [Backend.create]'s [base] is ignored: the arena area
-    anchors the address space at 0 and places the fallback above itself. *)
-
-module Backend_default : Backend.BACKEND with type t = t
-(** [backend ()] with the paper's geometry over first-fit. *)
+(** The allocator as a registry backend, named ["arena"], with the given
+    geometry and fallback (defaults as {!create}).  Its [create]'s
+    [base] is ignored: the arena area anchors the address space at 0
+    and places the fallback above itself. *)

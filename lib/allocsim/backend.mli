@@ -4,25 +4,29 @@
     ({!Driver.run}) and the generic property tests are written once against
     this signature, and the name-keyed {!Registry} hands out backends to
     the simulation pipeline, the CLI and the bench harness.  Adding an
-    allocator is therefore a one-file change: implement the signature,
-    then add an entry to the registry's table.
+    allocator is therefore a one-file change: implement the signature
+    in one adapter, built by one constructor of the allocator's module
+    (e.g. [First_fit.backend ?sbrk_chunk ?policy ()]), then add an entry
+    to the registry's table.
 
     Contract:
     - [create ?base ()] returns a fresh allocator whose simulated
       address space starts at [base] (default 0).  Its tables start small
-      and grow with the simulated break.  A backend may lease them from
-      its per-domain {!Scratch.pool}; a second live instance on the same
-      domain then gets fresh ones, so all state is private to the
-      returned value and independent instances may replay concurrently
-      on separate domains.
+      and grow with the simulated break, through {!Lp_trace.Grow.widen}.
+      A backend may lease them from its per-domain {!Scratch.pool}, as
+      the driver leases its per-object tables for the same replay; a
+      second live instance on the same domain then gets fresh ones, so
+      all state is private to the returned value and independent
+      instances may replay concurrently on separate domains.
     - [release t] ends the allocator's life: it gives any leased tables
       back to the calling domain's pool, their written prefix reset, so
       the next instance cannot tell them from fresh ones.  [t] must not
       be used afterwards.  {!Driver.run} calls it once per replay, after
-      the metrics are read, also when the replay fails; an allocator
-      that is never released keeps its tables, and later instances on
-      its domain get fresh ones.  A backend that wraps another (the
-      arena's fallback, the sanitizer) releases what it wraps.
+      the metrics are read and after giving back its own tables, also
+      when the replay fails; an allocator that is never released keeps
+      its tables, and later instances on its domain get fresh ones.  A
+      backend that wraps another (the arena's fallback, the sanitizer)
+      releases what it wraps.
     - [alloc t ~size ~predicted] returns the payload address of a new
       block.  [predicted] is the lifetime predictor's verdict for this
       object; backends that do not segregate by lifetime ignore it (and

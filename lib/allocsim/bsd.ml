@@ -55,15 +55,8 @@ let class_for size = smallest_class (size + header) min_class
 
 (* grow the class map to cover the current break *)
 let ensure_map t =
-  let need = (t.brk - t.base) lsr 4 in
-  let cap = Bytes.length t.class_of in
-  if need > cap then begin
-    let cap' = ref (cap * 2) in
-    while !cap' < need do cap' := !cap' * 2 done;
-    let bigger = Bytes.make !cap' '\000' in
-    Bytes.blit t.class_of 0 bigger 0 cap;
-    t.class_of <- bigger
-  end
+  t.class_of <-
+    Lp_trace.Grow.widen_bytes t.class_of (((t.brk - t.base) lsr 4) - 1)
 
 let alloc t size =
   if size <= 0 then invalid_arg "Bsd.alloc: size must be positive";
@@ -139,27 +132,28 @@ let release t =
     '\000';
   Scratch.give_back t.lease t.class_of
 
-module Backend : Backend.BACKEND with type t = t = struct
-  type nonrec t = t
+let backend () : Backend.t =
+  (module struct
+    type nonrec t = t
 
-  let name = "bsd"
-  let uses_prediction = false
-  let create ?base () = create ?base ()
-  let release = release
-  let alloc t ~size ~predicted:_ = alloc t size
-  let free = free
+    let name = "bsd"
+    let uses_prediction = false
+    let create ?base () = create ?base ()
+    let release = release
+    let alloc t ~size ~predicted:_ = alloc t size
+    let free = free
 
-  let realloc =
-    Some
-      (fun t ~addr ~old_size:_ ~new_size ~predicted:_ ->
-        realloc t addr ~new_size)
+    let realloc =
+      Some
+        (fun t ~addr ~old_size:_ ~new_size ~predicted:_ ->
+          realloc t addr ~new_size)
 
-  let charge_alloc = charge_alloc
-  let allocs = allocs
-  let frees = frees
-  let alloc_instr = alloc_instr
-  let free_instr = free_instr
-  let max_heap_size = max_heap_size
-  let extra _ = Metrics.Core
-  let check_invariants _ = ()
-end
+    let charge_alloc = charge_alloc
+    let allocs = allocs
+    let frees = frees
+    let alloc_instr = alloc_instr
+    let free_instr = free_instr
+    let max_heap_size = max_heap_size
+    let extra _ = Metrics.Core
+    let check_invariants _ = ()
+  end)

@@ -29,5 +29,5 @@ val free_instr : t -> int
 val allocs : t -> int
 val frees : t -> int
 
-module Backend : Backend.BACKEND with type t = t
-(** BSD buckets as a registry backend. *)
+val backend : unit -> Backend.t
+(** BSD buckets as a registry backend, named ["bsd"]. *)

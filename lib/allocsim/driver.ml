@@ -1,3 +1,5 @@
+module Grow = Lp_trace.Grow
+
 type predictor = {
   predicted : obj:int -> size:int -> chain:int -> key:int -> bool;
   predict_cost : int;
@@ -34,9 +36,8 @@ let check_block ~limit live events ~first lo hi =
     | Lp_trace.Event.Alloc { obj; size; _ } ->
         if obj < 0 || obj >= limit then
           event_error ~event "alloc of out-of-range" obj;
-        let n = Bytes.length !live in
-        if obj >= n then
-          live := Bytes.cat !live (Bytes.make (max (obj + 1 - n) n) '\000');
+        if obj >= Bytes.length !live then
+          live := Grow.widen_bytes !live obj;
         if Bytes.unsafe_get !live obj <> '\000' then
           event_error ~event "second alloc of live" obj;
         if size <= 0 then
@@ -98,19 +99,26 @@ let prepare (trace : Lp_trace.Trace.t) : prepared =
   end;
   { trace }
 
-let trace_of_prepared (p : prepared) = p.trace
+(* The per-object tables of a replay, leased from the calling domain's
+   pool like every backend's tables.  Only cache-simulating replays use
+   [ref_cursor], and only predicting replays [birth_of] and [flag_of]. *)
+type tables = {
+  mutable addr_of : int array;  (* obj -> payload address, -1 = dead *)
+  mutable size_of : int array;  (* obj -> tracked payload size *)
+  mutable ref_cursor : int array;  (* obj -> Touch stride cursor *)
+  mutable birth_of : int array;  (* obj -> clock at birth, -1 = unborn *)
+  mutable flag_of : Bytes.t;  (* obj -> last oracle verdict, '\001' = short *)
+}
 
-(* [a] covering object ids [0, n): the slots below [keep] kept, the rest
-   reset to [d] — in place when [a] is long enough (a pooled table may
-   hold stale slots past [keep]), else in a fresh array of at least
-   twice [keep] *)
-let extend a ~keep n d =
-  if Array.length a >= n then (Array.fill a keep (n - keep) d; a)
-  else begin
-    let g = Array.make (max n (2 * keep)) d in
-    Array.blit a 0 g 0 keep;
-    g
-  end
+let pool =
+  Scratch.pool (fun () ->
+      {
+        addr_of = [||];
+        size_of = [||];
+        ref_cursor = [||];
+        birth_of = [||];
+        flag_of = Bytes.empty;
+      })
 
 (* The one replay engine: every backend — first-fit, best-fit, BSD, segfit,
    arena, and whatever the registry grows next — and every feeder, prepared
@@ -124,75 +132,77 @@ let extend a ~keep n d =
    paid tens of millions of times per run. *)
 let replay ?cache ?predictor (module B : Backend.BACKEND) ~hint feed : Metrics.t
     =
-  let b = B.create () in
-  let scratch = Scratch.acquire () in
-  (* the metrics are read before the backend gives its tables back *)
-  Fun.protect ~finally:(fun () ->
-      Scratch.release scratch;
-      B.release b)
-  @@ fun () ->
-  let live = ref 0 in
-  let max_live = ref 0 in
-  let total_bytes = ref 0 in
   (* the prediction front-end: only consulted (and billed) for backends
      that act on it, so e.g. a first-fit replay under a predictor stays
      byte-identical to one without *)
   let predictor = if B.uses_prediction then predictor else None in
+  let cached = Option.is_some cache in
+  let predicting = Option.is_some predictor in
+  let b = B.create () in
+  let lease = Scratch.lease pool in
+  let tb = Scratch.leased lease in
+  (* the leased tables already cover the hint *)
+  if Array.length tb.addr_of >= hint then
+    Lp_obs.Timings.count "replay.scratch_reuses" 1;
+  (* The tables cover object ids [0, !covered), the only ids a replay
+     writes: sized by the hint, grown when a streamed block allocates
+     beyond them, and reset on that prefix when they go back.  The
+     metrics are read before the driver and the backend give their
+     tables back. *)
+  let covered = ref 0 in
+  Fun.protect ~finally:(fun () ->
+      let n = !covered in
+      Array.fill tb.addr_of 0 n (-1);
+      Array.fill tb.size_of 0 n 0;
+      if cached then Array.fill tb.ref_cursor 0 n 0;
+      if predicting then begin
+        Array.fill tb.birth_of 0 n (-1);
+        Bytes.fill tb.flag_of 0 n '\000'
+      end;
+      Scratch.give_back lease tb;
+      B.release b)
+  @@ fun () ->
+  let cover_ids n =
+    if n > !covered then begin
+      let top = n - 1 in
+      tb.addr_of <- Grow.widen tb.addr_of ~default:(-1) top;
+      tb.size_of <- Grow.widen tb.size_of ~default:0 top;
+      if cached then tb.ref_cursor <- Grow.widen tb.ref_cursor ~default:0 top;
+      if predicting then begin
+        tb.birth_of <- Grow.widen tb.birth_of ~default:(-1) top;
+        tb.flag_of <- Grow.widen_bytes tb.flag_of top
+      end;
+      covered := n
+    end
+  in
+  cover_ids hint;
+  let live = ref 0 in
+  let max_live = ref 0 in
+  let total_bytes = ref 0 in
   let reallocs = ref 0 in
   let realloc_in_place = ref 0 in
   let realloc_moves = ref 0 in
-  (* The per-object tables cover object ids [0, !covered): the calling
-     domain's pooled scratch, sized by the hint.  A streamed block that
-     allocates beyond them regrows them (at least doubling, every covered
-     slot kept); only cache-simulating replays read the per-object stride
-     cursor. *)
-  let a, z, r =
-    Scratch.tables scratch ~n_objects:hint ~cursor:(Option.is_some cache)
-  in
-  let addr_of = ref a and size_of = ref z and ref_cursor = ref r in
   (* oracle outcome tracking: under a predictor every object records its
      birth clock and last verdict, so the free path (and the end-of-trace
      survivor scan) can classify the prediction and feed the outcome back
      to a stateful oracle.  None of this charges simulated instructions,
      so metric values other than the mispredict counters are unaffected. *)
-  let bo, fo =
-    match predictor with
-    | None -> ([||], Bytes.empty)
-    | Some _ -> Scratch.predict_tables scratch ~n_objects:hint
-  in
-  let birth_of = ref bo and flag_of = ref fo in
-  let covered = ref hint in
-  let cover_ids n =
-    if n > !covered then begin
-      let keep = !covered in
-      addr_of := extend !addr_of ~keep n (-1);
-      size_of := extend !size_of ~keep n 0;
-      if Option.is_some cache then ref_cursor := extend !ref_cursor ~keep n 0;
-      if Option.is_some predictor then begin
-        birth_of := extend !birth_of ~keep n (-1);
-        (* a verdict is written at every alloc before it is read *)
-        let m = Bytes.length !flag_of in
-        if m < n then flag_of := Bytes.extend !flag_of 0 (max n (2 * keep) - m)
-      end;
-      covered := n
-    end
-  in
   let predictions = ref 0 in
   let mis_short = ref 0 in
   let mis_long = ref 0 in
   let[@inline] observe_outcome (p : predictor) ~obj ~survived =
-    let birth = Array.unsafe_get !birth_of obj in
+    let birth = Array.unsafe_get tb.birth_of obj in
     if birth >= 0 then begin
       let lifetime = !total_bytes - birth in
       let short = (not survived) && lifetime < p.short_threshold in
-      if Bytes.unsafe_get !flag_of obj <> '\000' then begin
+      if Bytes.unsafe_get tb.flag_of obj <> '\000' then begin
         if not short then incr mis_short
       end
       else if short then incr mis_long;
       (match p.on_outcome with
       | Some f -> f ~obj ~lifetime ~survived
       | None -> ());
-      Array.unsafe_set !birth_of obj (-1)
+      Array.unsafe_set tb.birth_of obj (-1)
     end
   in
   (* every allocation — and every resize, whose site predicts like an
@@ -202,7 +212,7 @@ let replay ?cache ?predictor (module B : Backend.BACKEND) ~hint feed : Metrics.t
     B.charge_alloc b p.predict_cost;
     let v = p.predicted ~obj ~size ~chain ~key in
     incr predictions;
-    Bytes.unsafe_set !flag_of obj (if v then '\001' else '\000');
+    Bytes.unsafe_set tb.flag_of obj (if v then '\001' else '\000');
     v
   in
   (* Resize an object, preferring the backend's native hook and falling
@@ -212,8 +222,8 @@ let replay ?cache ?predictor (module B : Backend.BACKEND) ~hint feed : Metrics.t
      [Trace.total_bytes] and the stats folds.  Returns the block's new
      payload address for the cache layer. *)
   let do_realloc ~obj ~old_size ~new_size ~chain ~key =
-    let addr = Array.unsafe_get !addr_of obj in
-    let tracked = Array.unsafe_get !size_of obj in
+    let addr = Array.unsafe_get tb.addr_of obj in
+    let tracked = Array.unsafe_get tb.size_of obj in
     (* the birth clock — like training — stays at the Alloc event *)
     let predicted =
       match predictor with
@@ -240,8 +250,8 @@ let replay ?cache ?predictor (module B : Backend.BACKEND) ~hint feed : Metrics.t
       incr realloc_in_place;
       B.charge_alloc b Cost_model.realloc_in_place
     end;
-    Array.unsafe_set !addr_of obj new_addr;
-    Array.unsafe_set !size_of obj new_size;
+    Array.unsafe_set tb.addr_of obj new_addr;
+    Array.unsafe_set tb.size_of obj new_size;
     total_bytes := !total_bytes + max 0 (new_size - old_size);
     let l = !live - tracked + new_size in
     live := l;
@@ -251,7 +261,7 @@ let replay ?cache ?predictor (module B : Backend.BACKEND) ~hint feed : Metrics.t
   let block ~cover events lo hi =
     cover_ids cover;
     (* the tables only change between blocks *)
-    let addr_of = !addr_of and size_of = !size_of in
+    let addr_of = tb.addr_of and size_of = tb.size_of in
     for i = lo to hi - 1 do
       match Array.unsafe_get events i with
       | Lp_trace.Event.Alloc { obj; size; chain; key; _ } ->
@@ -261,7 +271,7 @@ let replay ?cache ?predictor (module B : Backend.BACKEND) ~hint feed : Metrics.t
             | Some p ->
                 (* the birth clock is the pre-increment allocation clock,
                    mirroring training's lifetime accounting *)
-                Array.unsafe_set !birth_of obj !total_bytes;
+                Array.unsafe_set tb.birth_of obj !total_bytes;
                 consult p ~obj ~size ~chain ~key
           in
           let addr = B.alloc b ~size ~predicted in
@@ -299,7 +309,7 @@ let replay ?cache ?predictor (module B : Backend.BACKEND) ~hint feed : Metrics.t
               (* a Touch of n references walks the object at a 16-byte stride *)
               let addr = Array.unsafe_get addr_of obj in
               let size = Array.unsafe_get size_of obj in
-              let cursor = !ref_cursor in
+              let cursor = tb.ref_cursor in
               if addr >= 0 then
                 for _ = 1 to count do
                   Cache.access c
@@ -317,7 +327,7 @@ let replay ?cache ?predictor (module B : Backend.BACKEND) ~hint feed : Metrics.t
   | None -> ()
   | Some p ->
       for obj = 0 to !covered - 1 do
-        if Array.unsafe_get !birth_of obj >= 0 then
+        if Array.unsafe_get tb.birth_of obj >= 0 then
           observe_outcome p ~obj ~survived:true
       done);
   {

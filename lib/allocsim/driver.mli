@@ -11,10 +11,19 @@
 
     Replay is decode-once/replay-many: {!prepare} validates a trace in a
     single pass and the result can be replayed through any number of
-    backends with zero re-validation and pooled per-replay scratch
-    ({!Scratch}).  {!run} composes the two and memoizes validation on
-    trace identity, so even naive repeated [run] calls on the same trace
-    validate it only once. *)
+    backends with zero re-validation.  {!run} composes the two and
+    memoizes validation on trace identity, so even naive repeated [run]
+    calls on the same trace validate it only once.
+
+    Every replay leases its per-object tables (address, size, and, when
+    used, Touch cursor, birth clock and verdict per object id) from the
+    calling domain's {!Scratch.pool}, as the backend leases its own:
+    sized by the object count (or a stream's hint), grown by
+    {!Lp_trace.Grow.widen} when a streamed block allocates beyond them,
+    and given back, their written prefix reset, when the backend is
+    released.  A replay whose leased tables already cover the object
+    count increments the ["replay.scratch_reuses"] counter of
+    {!Lp_obs.Timings} when timings are enabled. *)
 
 type predictor = {
   predicted : obj:int -> size:int -> chain:int -> key:int -> bool;
@@ -54,15 +63,11 @@ val prepare : Lp_trace.Trace.t -> prepared
     increments the ["replay.validations"] counter of {!Lp_obs.Timings}
     and records a ["prepare"] stage when timings are enabled. *)
 
-val trace_of_prepared : prepared -> Lp_trace.Trace.t
-(** The underlying trace (shared, not copied). *)
-
 val run_prepared :
   ?cache:Cache.t -> ?predictor:predictor -> prepared -> Backend.t -> Metrics.t
 (** Replays every event in order through a fresh instance of the backend,
     with no per-event validation (already done by {!prepare}) and the
-    per-replay object tables drawn from the calling domain's {!Scratch}
-    pool.  Objects still alive at the end of the trace are not freed
+    per-replay object tables leased from the calling domain's pool.  Objects still alive at the end of the trace are not freed
     (they hold their space, as in the real program).
 
     When [predictor] is given and the backend declares

@@ -21,6 +21,8 @@
    seed implementation, enforced by test/golden_metrics.expected and the
    qcheck equivalence suite against test/ff_reference.ml. *)
 
+module Grow = Lp_trace.Grow
+
 let header = 8
 let min_block = 16
 
@@ -63,7 +65,7 @@ type t = {
   mutable frees : int;
 }
 
-(* Both tables start small and double on demand ([new_block],
+(* Both tables start small and grow on demand ([new_block],
    [ensure_map]): a replay pays for the blocks and the break it reaches,
    not for zero-filling tables sized by the trace's object count. *)
 let initial_blocks = 64
@@ -119,11 +121,8 @@ let new_block t ~addr ~size =
       b
     end
     else begin
-      if t.store_len = Array.length t.store then begin
-        let bigger = Array.make (2 * t.store_len) 0 in
-        Array.blit t.store 0 bigger 0 t.store_len;
-        t.store <- bigger
-      end;
+      if t.store_len = Array.length t.store then
+        t.store <- Grow.widen t.store ~default:0 (t.store_len + stride - 1);
       let b = t.store_len in
       t.store_len <- t.store_len + stride;
       b
@@ -146,15 +145,8 @@ let recycle t b =
 
 (* grow the direct-address map to cover the current break *)
 let ensure_map t =
-  let need = (t.brk - t.base) lsr 3 in
-  let cap = Array.length t.by_payload in
-  if need > cap then begin
-    let cap' = ref (cap * 2) in
-    while !cap' < need do cap' := !cap' * 2 done;
-    let bigger = Array.make !cap' 0 in
-    Array.blit t.by_payload 0 bigger 0 cap;
-    t.by_payload <- bigger
-  end
+  t.by_payload <-
+    Grow.widen t.by_payload ~default:0 (((t.brk - t.base) lsr 3) - 1)
 
 (* -- free-list maintenance ------------------------------------------------- *)
 
@@ -414,81 +406,28 @@ let check_invariants t =
       then failwith "payload map entry out of sync")
     t.by_payload
 
-(* -- backend adapters ------------------------------------------------------------ *)
+(* -- the backend adapter ------------------------------------------------------------ *)
 
-module Best_backend : Backend.BACKEND with type t = t = struct
-  type nonrec t = t
+let backend ?(sbrk_chunk = default_sbrk_chunk) ?(policy = First) () : Backend.t =
+  (module struct
+    type nonrec t = t
 
-  let name = "best-fit"
-  let uses_prediction = false
-  let create ?base () = create ?base ~policy:Best ()
-  let release = release
-  let alloc t ~size ~predicted:_ = alloc t size
-  let free = free
+    let name = match policy with First -> "first-fit" | Best -> "best-fit"
+    let uses_prediction = false
+    let create ?base () = create ?base ~sbrk_chunk ~policy ()
+    let release = release
+    let alloc t ~size ~predicted:_ = alloc t size
+    let free = free
 
-  (* boundary-tag blocks are exact-fit; no native resize path, so the
-     driver synthesizes free + alloc + copy *)
-  let realloc = None
-  let charge_alloc = charge_alloc
-  let allocs = allocs
-  let frees = frees
-  let alloc_instr = alloc_instr
-  let free_instr = free_instr
-  let max_heap_size = max_heap_size
-  let extra _ = Metrics.Core
-  let check_invariants = check_invariants
-end
-
-(* NB: declared last — [module Backend] shadows the library's [Backend]
-   for anything below it; [Backend_api] keeps the signature reachable. *)
-module Backend_api = Backend
-
-module Backend : Backend.BACKEND with type t = t = struct
-  type nonrec t = t
-
-  let name = "first-fit"
-  let uses_prediction = false
-  let create ?base () = create ?base ()
-  let release = release
-  let alloc t ~size ~predicted:_ = alloc t size
-  let free = free
-  let realloc = None
-  let charge_alloc = charge_alloc
-  let allocs = allocs
-  let frees = frees
-  let alloc_instr = alloc_instr
-  let free_instr = free_instr
-  let max_heap_size = max_heap_size
-  let extra _ = Metrics.Core
-  let check_invariants = check_invariants
-end
-
-(* Backends over a custom sbrk granularity, for the parameterized
-   [first-fit:sbrk=] / [best-fit:sbrk=] registry specs.  At the default
-   granularity these are exactly [Backend] / [Best_backend]. *)
-let make_backend ?(sbrk_chunk = default_sbrk_chunk) ?(policy = First) () :
-    Backend_api.t =
-  match policy with
-  | First when sbrk_chunk = default_sbrk_chunk -> (module Backend)
-  | Best when sbrk_chunk = default_sbrk_chunk -> (module Best_backend)
-  | _ ->
-      let name = match policy with First -> "first-fit" | Best -> "best-fit" in
-      (module struct
-        type nonrec t = t
-
-        let name = name
-        let uses_prediction = false
-        let create ?base () = create ?base ~sbrk_chunk ~policy ()
-        let release = release
-        let alloc t ~size ~predicted:_ = alloc t size
-        let free = free
-        let realloc = None
-        let charge_alloc = charge_alloc
-        let allocs = allocs
-        let frees = frees
-        let alloc_instr = alloc_instr
-        let free_instr = free_instr
-        let max_heap_size = max_heap_size
-        let extra _ = Metrics.Core
-        let check_invariants = check_invariants
-      end)
+    (* boundary-tag blocks are exact-fit; no native resize path, so the
+       driver synthesizes free + alloc + copy *)
+    let realloc = None
+    let charge_alloc = charge_alloc
+    let allocs = allocs
+    let frees = frees
+    let alloc_instr = alloc_instr
+    let free_instr = free_instr
+    let max_heap_size = max_heap_size
+    let extra _ = Metrics.Core
+    let check_invariants = check_invariants
+  end)

@@ -70,16 +70,8 @@ val check_invariants : t -> unit
     free blocks, free list consistent.  For tests.
     @raise Failure when an invariant is broken. *)
 
-val make_backend : ?sbrk_chunk:int -> ?policy:policy -> unit -> Backend.t
-(** A registry backend over a custom sbrk granularity (the
-    [first-fit:sbrk=<n>] / [best-fit:sbrk=<n>] specs).  At the default
-    [sbrk_chunk] this is exactly [Backend] (policy {!First}) or
-    [Best_backend] (policy {!Best}). *)
-
-module Best_backend : Backend.BACKEND with type t = t
-(** The same structure under the best-fit policy — the allocator-policy
-    ablation's alternative, promoted to a first-class registry entry. *)
-
-module Backend : Backend.BACKEND with type t = t
-(** First fit (roving pointer) as a registry backend. *)
-
+val backend : ?sbrk_chunk:int -> ?policy:policy -> unit -> Backend.t
+(** The allocator as a registry backend, named ["first-fit"] under
+    policy {!First} (the default) and ["best-fit"] under {!Best}, over
+    an sbrk granularity of [sbrk_chunk] (default {!default_sbrk_chunk};
+    the [first-fit:sbrk=<n>] / [best-fit:sbrk=<n>] specs). *)

@@ -4,8 +4,7 @@
 
 type t
 
-val create : ?capacity:int -> unit -> t
-val length : t -> int
+val create : unit -> t
 val is_empty : t -> bool
 val push : t -> int -> unit
 

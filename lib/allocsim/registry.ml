@@ -17,7 +17,7 @@ let freelist name aliases policy =
     member = { name; aliases; doc = ""; rows = [ sbrk ] };
     build =
       (fun ?arena_config:_ t ->
-        First_fit.make_backend ~sbrk_chunk:(Spec.int t "sbrk") ~policy ());
+        First_fit.backend ~sbrk_chunk:(Spec.int t "sbrk") ~policy ());
   }
 
 (* In table order.  [arena] builds its fallback, another entry, hence
@@ -32,7 +32,7 @@ let rec entries =
     (* 4.2BSD (Kingsley) power-of-two buckets, never coalesced *)
     {
       member = { name = "bsd"; aliases = []; doc = ""; rows = [] };
-      build = (fun ?arena_config:_ _ -> (module Bsd.Backend));
+      build = (fun ?arena_config:_ _ -> Bsd.backend ());
     };
     (* segregated fit: size-class slabs with page recycling (modern design) *)
     {
@@ -55,7 +55,7 @@ let rec entries =
             ];
         };
       build =
-        (fun ?arena_config:_ t -> Segfit.make_backend ~classes:(Spec.ints t "slab") ());
+        (fun ?arena_config:_ t -> Segfit.backend ~classes:(Spec.ints t "slab") ());
     };
     (* lifetime-predicting arenas over a fallback (the paper's allocator);
        [arena_config] stands in for the defaults of [n] and [chunk] *)

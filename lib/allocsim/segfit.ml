@@ -6,11 +6,15 @@
    origin map becomes a direct-address variant array keyed by
    [(payload - heap_base - header) / 16] — slab cells are 16-byte-aligned
    page offsets and span bases are page-aligned, so the key is injective.
-   The page table is likewise a direct-address array keyed by page.  Placement decisions and Cost_model charges are
-   byte-identical to the seed (golden-metrics test).
+   The page table is likewise a direct-address array keyed by page.
+   Placement decisions and Cost_model charges are byte-identical to the
+   seed (golden-metrics test).
 
-   Both maps grow with the break; they and the class-lookup bytes are
-   leased from a per-domain {!Scratch.pool} and given back by [release]. *)
+   Both maps grow with the break ([Grow.widen]); they and the
+   class-lookup bytes are leased from a per-domain {!Scratch.pool} and
+   given back by [release]. *)
+
+module Grow = Lp_trace.Grow
 
 let header = 8
 let page = 4096
@@ -140,23 +144,11 @@ let class_for t size =
   if need > t.max_cell then -1
   else Char.code (Bytes.unsafe_get t.cls_of_need need)
 
-(* [a] itself if it has [need] slots, else a copy at least doubled *)
-let cover a need =
-  let cap = Array.length a in
-  if need <= cap then a
-  else begin
-    let cap' = ref (cap * 2) in
-    while !cap' < need do cap' := !cap' * 2 done;
-    let bigger = Array.make !cap' No in
-    Array.blit a 0 bigger 0 cap;
-    bigger
-  end
-
 (* grow the origin map and the page table to cover the current break *)
 let ensure_map t =
   let span = t.brk - t.heap_base in
-  t.origin_of <- cover t.origin_of (span lsr 4);
-  t.slab_at <- cover t.slab_at (span / page)
+  t.origin_of <- Grow.widen t.origin_of ~default:No ((span lsr 4) - 1);
+  t.slab_at <- Grow.widen t.slab_at ~default:No ((span / page) - 1)
 
 let origin_index t payload = (payload - t.heap_base - header) lsr 4
 let page_index t base = (base - t.heap_base) / page
@@ -374,52 +366,36 @@ let check_invariants t =
     t.classes;
   if (t.brk - t.heap_base) mod page <> 0 then failwith "brk not page-aligned"
 
-(* the sibling [Backend] module is shadowed from here on by this
-   allocator's backend instance; keep the signature reachable *)
-module Backend_api = Backend
+let backend ?(classes = default_classes) () : Backend.t =
+  (module struct
+    type nonrec t = t
 
-module Backend : Backend.BACKEND with type t = t = struct
-  type nonrec t = t
+    let name = "segfit"
+    let uses_prediction = false
+    let create ?base () = create ?base ~classes ()
+    let release = release
+    let alloc t ~size ~predicted:_ = alloc t size
+    let free = free
 
-  let name = "segfit"
-  let uses_prediction = false
-  let create ?base () = create ?base ()
-  let release = release
-  let alloc t ~size ~predicted:_ = alloc t size
-  let free = free
+    let realloc =
+      Some
+        (fun t ~addr ~old_size:_ ~new_size ~predicted:_ ->
+          realloc t addr ~new_size)
 
-  let realloc =
-    Some
-      (fun t ~addr ~old_size:_ ~new_size ~predicted:_ ->
-        realloc t addr ~new_size)
+    let charge_alloc = charge_alloc
+    let allocs = allocs
+    let frees = frees
+    let alloc_instr = alloc_instr
+    let free_instr = free_instr
+    let max_heap_size = max_heap_size
 
-  let charge_alloc = charge_alloc
-  let allocs = allocs
-  let frees = frees
-  let alloc_instr = alloc_instr
-  let free_instr = free_instr
-  let max_heap_size = max_heap_size
+    let extra t =
+      Metrics.Segfit_stats
+        {
+          slabs_created = t.slabs_created;
+          pages_recycled = t.pages_recycled;
+          large_spans = t.large_spans;
+        }
 
-  let extra t =
-    Metrics.Segfit_stats
-      {
-        slabs_created = t.slabs_created;
-        pages_recycled = t.pages_recycled;
-        large_spans = t.large_spans;
-      }
-
-  let check_invariants = check_invariants
-end
-
-(* A segfit backend with a custom cell-size ladder, for parameterized
-   `segfit:slab=` registry specs and the tuner.  The default ladder is the
-   plain [Backend] (same module, same metrics). *)
-let make_backend ?(classes = default_classes) () : Backend_api.t =
-  if classes = default_classes then (module Backend)
-  else
-    let create' ?base () = create ?base ~classes () in
-    (module struct
-      include Backend
-
-      let create = create'
-    end)
+    let check_invariants = check_invariants
+  end)

@@ -57,9 +57,8 @@ val check_invariants : t -> unit
     stay inside their page, nonfull lists hold only slabs with room.
     @raise Failure when an invariant is broken. *)
 
-val make_backend : ?classes:int array -> unit -> Backend.t
-(** A segfit backend over a custom cell-size ladder (the
-    [segfit:slab=<list>] registry spec).  With the default ladder this
-    is exactly the [Backend] module below. *)
-
-module Backend : Backend.BACKEND with type t = t
+val backend : ?classes:int array -> unit -> Backend.t
+(** The allocator as a registry backend, named ["segfit"], over the
+    cell-size ladder [classes] (default {!default_classes}; the
+    [segfit:slab=<list>] spec).
+    @raise Invalid_argument at [create] on a ladder {!create} rejects. *)

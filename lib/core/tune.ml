@@ -116,20 +116,18 @@ let ensure_predictors ctx cands =
   in
   List.iter2 (fun k p -> Hashtbl.replace ctx.predictors k p) missing built
 
+(* the candidate's predictor was built under its threshold, so the
+   oracle classifies outcomes at that threshold *)
 let eval_with_cost ctx c ~predict_cost =
   let backend = Registry.build c.backend in
   let metrics =
     if uses_prediction c then begin
-      let predictor = Hashtbl.find ctx.predictors (c.threshold, c.depth) in
-      let predicted = Predictor.for_trace_pooled predictor ctx.test in
-      Driver.run_prepared
-        ~predictor:
-          {
-            Driver.predicted;
-            predict_cost;
-            short_threshold = c.threshold;
-            on_outcome = None;
-          }
+      let p = Hashtbl.find ctx.predictors (c.threshold, c.depth) in
+      let instance =
+        Oracle.instance_for_trace ~pooled:true (Oracle.static p) ~predict_cost
+          ctx.test
+      in
+      Driver.run_prepared ~predictor:(Oracle.driver_predictor instance)
         ctx.prepared backend
     end
     else Driver.run_prepared ctx.prepared backend

@@ -19,40 +19,41 @@ let check_index fn i =
       (Printf.sprintf "Grow.%s: index %d outside [0, %d)" fn i
          Sys.max_array_length)
 
-(* The doubling must clamp at [Sys.max_array_length]: a plain
-   [cap := 2 * !cap] wraps negative for huge [n], escapes the loop and
-   dies inside [Array.make] with a context-free error. *)
-let capacity_for cap n =
-  let cap = ref (max 1 cap) in
-  while n > !cap do
-    cap :=
-      if !cap >= Sys.max_array_length / 2 then Sys.max_array_length
-      else 2 * !cap
-  done;
-  !cap
+(* The one growth rule of every table: at least double, and at least
+   reach [n].  The first growth of an empty table is exactly [n], so a
+   table sized from a hint is exactly hint-sized.  Doubling clamps at
+   [Sys.max_array_length], which [n] never exceeds.  Int comparisons,
+   not the polymorphic [max]: allocators whose small stacks grow
+   thousands of times per replay pay for every call here. *)
+let grown_length (len : int) (n : int) =
+  let doubled =
+    if len > Sys.max_array_length / 2 then Sys.max_array_length else 2 * len
+  in
+  if n > doubled then n else doubled
 
 let widen a ~default i =
-  check_index "widen" i;
   let n = Array.length a in
-  if i < n then a
+  if in_bounds i n then a
   else begin
-    let grown = Array.make (capacity_for n (i + 1)) default in
+    check_index "widen" i;
+    let grown = Array.make (grown_length n (i + 1)) default in
     Array.blit a 0 grown 0 n;
     grown
   end
 
 let widen_bytes b i =
-  check_index "widen_bytes" i;
   let n = Bytes.length b in
-  if i < n then b
+  if in_bounds i n then b
   else begin
-    let grown = Bytes.make (capacity_for n (i + 1)) '\000' in
+    check_index "widen_bytes" i;
+    let grown = Bytes.make (grown_length n (i + 1)) '\000' in
     Bytes.blit b 0 grown 0 n;
     grown
   end
 
 (* Invariant: data.(i) = default for every i >= len, so extending the
-   logical length never needs a fill pass. *)
+   logical length never needs a fill pass, and growing may copy the
+   whole storage. *)
 let ensure t n =
   if n > Array.length t.data then begin
     if n > Sys.max_array_length then
@@ -60,9 +61,7 @@ let ensure t n =
         (Printf.sprintf
            "Grow.ensure: requested length %d exceeds Sys.max_array_length (%d)"
            n Sys.max_array_length);
-    let grown = Array.make (capacity_for (Array.length t.data) n) t.default in
-    Array.blit t.data 0 grown 0 t.len;
-    t.data <- grown
+    t.data <- widen t.data ~default:t.default (n - 1)
   end;
   if n > t.len then t.len <- n
 

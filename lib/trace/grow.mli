@@ -1,4 +1,5 @@
-(** Growable [int] array with amortized-doubling storage.
+(** Growable [int] array with amortized-doubling storage, and the one
+    growth rule ({!widen}) of every bare table.
 
     The streaming consumers (driver, trainer, linter) replace their
     [Array.make n_objects] per-object tables with these: object ids are
@@ -36,13 +37,17 @@ val take : t -> int array
 
 (** {1 Bare tables}
 
-    For passes that keep a per-object table as a plain array (or a byte
-    per object) and index it themselves: the same doubling and the same
-    index check, on the slow path only. *)
+    For tables kept as a plain array (or a byte per slot) and indexed
+    directly: the same growth rule and the same index check, on the
+    slow path only.  A table grows to [max n (2 * length)] slots, [n]
+    the length that covers the index, so an empty table first grows to
+    exactly [n]. *)
 
-val widen : int array -> default:int -> int -> int array
-(** [widen a ~default i] is [a] when [i] indexes it, else a copy grown
-    by doubling (new slots hold [default]) that [i] indexes. *)
+val widen : 'a array -> default:'a -> int -> 'a array
+(** [widen a ~default i] is [a] when [i] indexes it, else a grown copy
+    (new slots hold [default]) that [i] indexes.
+    @raise Invalid_argument when [i] is outside
+    [\[0, Sys.max_array_length)]. *)
 
 val widen_bytes : Bytes.t -> int -> Bytes.t
-(** {!widen} for a byte per object; new bytes are ['\000']. *)
+(** {!widen} for a byte per slot; new bytes are ['\000']. *)

@@ -172,6 +172,44 @@ let failing_stream (tr : Lp_trace.Trace.t) =
           [ Array.sub tr.events 0 (n / 2); [| bad |]; Array.sub tr.events (n / 2) (n - (n / 2)) ];
     }
 
+(* a predicting replay of [tr] that fails halfway, objects live *)
+let fail_stream ?cache what tr b =
+  match
+    Driver.run_source ?cache ~predictor:pool_predictor (failing_stream tr) b
+  with
+  | _ -> Alcotest.failf "%s: the streamed replay should fail" what
+  | exception Failure _ -> ()
+
+(* A text trace of 40 objects, streamed: its tables take the 1024-slot
+   hint of a text source, so they cover ids it never allocates.  It
+   touches every one of those ids, which reads their [addr_of] slots,
+   and its survivor scan reads their [birth_of] slots. *)
+let small_text =
+  let n = 40 in
+  String.concat "\n"
+    ([ "trace t i"; "func 0 main"; "chain 0 0" ]
+    @ List.init n (fun obj ->
+          Printf.sprintf "a %d %d 0 %d -1 1" obj (16 + (24 * obj)) obj)
+    @ List.init n (fun obj -> Printf.sprintf "r %d 3" obj)
+    @ List.init (1024 - n) (fun i -> Printf.sprintf "r %d 1" (n + i))
+    @ List.init (n / 2) (fun i -> Printf.sprintf "f %d" (2 * i))
+    @ [ "counters 1 1 1 1"; "end"; "" ])
+
+(* the metrics, the outcomes fed back and the cache counts of a
+   streamed replay of [small_text] under a predictor and a cache *)
+let small_stream_replay b =
+  let outcomes = ref 0 in
+  let on_outcome ~obj:_ ~lifetime:_ ~survived:_ = incr outcomes in
+  let predictor = { pool_predictor with on_outcome = Some on_outcome } in
+  let cache = Lp_allocsim.Cache.create ~size_bytes:8192 () in
+  let m =
+    Driver.run_source ~cache ~predictor
+      (Lp_trace.Source.of_string ~name:"small.txt" small_text) b
+  in
+  Printf.sprintf "%s outcomes=%d accesses=%d misses=%d"
+    (Lp_allocsim.Metrics.to_json m) !outcomes
+    (Lp_allocsim.Cache.accesses cache) (Lp_allocsim.Cache.misses cache)
+
 let warm_pool_replays_like_cold () =
   (* pint reallocates; perl, which dirties the pools, is larger *)
   let tiny program = Lp_workloads.Registry.trace ~scale:1.0 ~program ~input:"tiny" () in
@@ -180,25 +218,32 @@ let warm_pool_replays_like_cold () =
   let cold =
     List.map (fun (_, b) -> on_fresh_domain (fun () -> replay_json test b)) backends
   in
+  let cold_small =
+    List.map (fun (_, b) -> on_fresh_domain (fun () -> small_stream_replay b)) backends
+  in
   Timings.reset ();
   Timings.set_enabled true;
   Fun.protect ~finally:(fun () -> Timings.set_enabled false) @@ fun () ->
-  let warm, after_failure =
+  let warm, after_failure, small_after_failure =
     on_fresh_domain (fun () ->
         List.iter (fun (_, b) -> ignore (replay_json other b)) backends;
         let warm = List.map (fun (_, b) -> replay_json test b) backends in
         let after_failure =
           List.map
             (fun (what, b) ->
-              (match
-                 Driver.run_source ~predictor:pool_predictor (failing_stream other) b
-               with
-              | _ -> Alcotest.failf "%s: the streamed replay should fail" what
-              | exception Failure _ -> ());
+              fail_stream what other b;
               replay_json test b)
             backends
         in
-        (warm, after_failure))
+        let small_after_failure =
+          List.map
+            (fun (what, b) ->
+              fail_stream ~cache:(Lp_allocsim.Cache.create ~size_bytes:8192 ())
+                what other b;
+              small_stream_replay b)
+            backends
+        in
+        (warm, after_failure, small_after_failure))
   in
   List.iteri
     (fun i (what, _) ->
@@ -206,7 +251,10 @@ let warm_pool_replays_like_cold () =
       Alcotest.(check string) (what ^ ": warm = cold") cold (List.nth warm i);
       Alcotest.(check string)
         (what ^ ": after a failed stream = cold")
-        cold (List.nth after_failure i))
+        cold (List.nth after_failure i);
+      Alcotest.(check string)
+        (what ^ ": small text stream after a failed stream = cold")
+        (List.nth cold_small i) (List.nth small_after_failure i))
     backends;
   (* every replay after the first round leased tables given back before *)
   let reuses =
@@ -215,6 +263,39 @@ let warm_pool_replays_like_cold () =
   if reuses < 3 * List.length backends then
     Alcotest.failf "%d table reuses over %d warm replays" reuses
       (3 * List.length backends)
+
+(* [replay.scratch_reuses] counts the replays whose leased tables
+   already covered their object count: on a fresh domain, every replay
+   of one prepared trace but the first, and no replay of a trace with
+   more objects than the pooled tables hold. *)
+let scratch_reuses_count_covered_replays () =
+  let tiny program = Lp_workloads.Registry.trace ~scale:1.0 ~program ~input:"tiny" () in
+  let small = tiny "pint" and large = tiny "perl" in
+  if large.n_objects <= small.n_objects then
+    Alcotest.failf "perl-tiny has %d objects, pint-tiny %d" large.n_objects
+      small.n_objects;
+  let reuses () =
+    Option.value ~default:0
+      (List.assoc_opt "replay.scratch_reuses" (Timings.counters ()))
+  in
+  Timings.reset ();
+  Timings.set_enabled true;
+  Fun.protect ~finally:(fun () -> Timings.set_enabled false) @@ fun () ->
+  on_fresh_domain (fun () ->
+      let prepared = Driver.prepare small in
+      let names = Lp_allocsim.Registry.names () in
+      List.iter
+        (fun name ->
+          ignore
+            (Driver.run_prepared ~predictor:pool_predictor prepared
+               (Lp_allocsim.Registry.backend name)))
+        names;
+      let k = List.length names in
+      Alcotest.(check int) "k replays of one trace" (k - 1) (reuses ());
+      ignore (Driver.run large (Lp_allocsim.Registry.backend "first-fit"));
+      Alcotest.(check int) "a replay outgrowing the tables" (k - 1) (reuses ());
+      ignore (Driver.run_prepared prepared (Lp_allocsim.Registry.backend "bsd"));
+      Alcotest.(check int) "a replay within the grown tables" k (reuses ()))
 
 (* An address live when an allocator was released is not live in the
    next one, which leases the same tables: its free is rejected.  This
@@ -274,6 +355,8 @@ let suites =
       [
         Alcotest.test_case "warm pool replays like a cold one" `Quick
           warm_pool_replays_like_cold;
+        Alcotest.test_case "scratch reuses count covered replays" `Quick
+          scratch_reuses_count_covered_replays;
         Alcotest.test_case "released tables are clean" `Quick
           released_tables_are_clean;
         Alcotest.test_case "live allocators share no table" `Quick
