@@ -272,7 +272,7 @@ let train_cmd =
         let src = io_guard (fun () -> Lp_trace.Source.of_file path) in
         let st = io_guard (fun () -> Lifetime.Train.collect_source ~config src) in
         ( src.Lp_trace.Source.program,
-          src.Lp_trace.Source.funcs (),
+          src.Lp_trace.Source.funcs,
           st.Lifetime.Train.end_clock,
           st.Lifetime.Train.table )
       end
@@ -459,8 +459,7 @@ let simulate_cmd =
                      io_guard (fun () ->
                          Lifetime.Train.collect_source ~config src)
                    in
-                   Lifetime.Predictor.build ~config
-                     ~funcs:(src.Lp_trace.Source.funcs ())
+                   Lifetime.Predictor.build ~config ~funcs:src.Lp_trace.Source.funcs
                      st.Lifetime.Train.table
                  end
                  else

@@ -57,7 +57,7 @@ let access t addr =
 
 let access_range t ~addr ~bytes =
   let first = addr / t.line_bytes in
-  let last = (addr + max 1 bytes - 1) / t.line_bytes in
+  let last = (addr + (if bytes > 1 then bytes else 1) - 1) / t.line_bytes in
   for line = first to last do
     access t (line * t.line_bytes)
   done

@@ -25,10 +25,14 @@ let event_error ~event what obj =
 
    [check_block ~limit live events ~first lo hi] checks events [lo, hi),
    the first of which is event [first] of the whole trace.  Ids at or
-   above [limit] are out of range.  [live] is the map of live objects, a
-   byte per id, and grows to cover every allocated id.  A size <= 0 is
-   rejected here too: every backend refuses it with an unlocated
-   [Invalid_argument]. *)
+   above [limit] are out of range.  A size <= 0 is rejected here too:
+   every backend refuses it with an unlocated [Invalid_argument]. *)
+
+(* The map of live objects, a byte per id.  Ids at or above [top] were
+   never allocated, so they are unmarked whatever the map's length; the
+   map grows to cover [top]. *)
+type live = { mutable map : Bytes.t; mutable top : int }
+
 let check_block ~limit live events ~first lo hi =
   for i = lo to hi - 1 do
     let event = first + i - lo in
@@ -36,23 +40,26 @@ let check_block ~limit live events ~first lo hi =
     | Lp_trace.Event.Alloc { obj; size; _ } ->
         if obj < 0 || obj >= limit then
           event_error ~event "alloc of out-of-range" obj;
-        if obj >= Bytes.length !live then
-          live := Grow.widen_bytes !live obj;
-        if Bytes.unsafe_get !live obj <> '\000' then
+        if obj >= live.top then begin
+          if obj >= Bytes.length live.map then
+            live.map <- Grow.widen_bytes live.map obj;
+          live.top <- obj + 1
+        end;
+        if Bytes.unsafe_get live.map obj <> '\000' then
           event_error ~event "second alloc of live" obj;
         if size <= 0 then
           event_error ~event (Printf.sprintf "alloc of size %d for" size) obj;
-        Bytes.unsafe_set !live obj '\001'
+        Bytes.unsafe_set live.map obj '\001'
     | Lp_trace.Event.Free { obj; _ } ->
         if obj < 0 || obj >= limit then
           event_error ~event "free of out-of-range" obj;
-        if obj >= Bytes.length !live || Bytes.unsafe_get !live obj = '\000' then
+        if obj >= live.top || Bytes.unsafe_get live.map obj = '\000' then
           event_error ~event "free of never-allocated or already-freed" obj;
-        Bytes.unsafe_set !live obj '\000'
+        Bytes.unsafe_set live.map obj '\000'
     | Lp_trace.Event.Realloc { obj; new_size; _ } ->
         if obj < 0 || obj >= limit then
           event_error ~event "realloc of out-of-range" obj;
-        if obj >= Bytes.length !live || Bytes.unsafe_get !live obj = '\000' then
+        if obj >= live.top || Bytes.unsafe_get live.map obj = '\000' then
           event_error ~event "realloc of never-allocated or already-freed" obj;
         if new_size <= 0 then
           event_error ~event (Printf.sprintf "realloc to size %d of" new_size) obj
@@ -93,7 +100,7 @@ let prepare (trace : Lp_trace.Trace.t) : prepared =
       (fun () ->
         Lp_obs.Timings.count "replay.validations" 1;
         check_block ~limit:n_objects
-          (ref (Bytes.make n_objects '\000'))
+          { map = Bytes.make n_objects '\000'; top = n_objects }
           events ~first:0 0 (Array.length events));
     memo_add trace
   end;
@@ -101,13 +108,15 @@ let prepare (trace : Lp_trace.Trace.t) : prepared =
 
 (* The per-object tables of a replay, leased from the calling domain's
    pool like every backend's tables.  Only cache-simulating replays use
-   [ref_cursor], and only predicting replays [birth_of] and [flag_of]. *)
+   [ref_cursor], only predicting replays [birth_of] and [flag_of], and
+   only streamed replays, which validate as they go, [live]. *)
 type tables = {
   mutable addr_of : int array;  (* obj -> payload address, -1 = dead *)
   mutable size_of : int array;  (* obj -> tracked payload size *)
   mutable ref_cursor : int array;  (* obj -> Touch stride cursor *)
   mutable birth_of : int array;  (* obj -> clock at birth, -1 = unborn *)
   mutable flag_of : Bytes.t;  (* obj -> last oracle verdict, '\001' = short *)
+  live : live;
 }
 
 let pool =
@@ -118,18 +127,21 @@ let pool =
         ref_cursor = [||];
         birth_of = [||];
         flag_of = Bytes.empty;
+        live = { map = Bytes.empty; top = 0 };
       })
 
 (* The one replay engine: every backend — first-fit, best-fit, BSD, segfit,
    arena, and whatever the registry grows next — and every feeder, prepared
    or streamed, runs through this loop, so cache replay and Touch handling
-   exist in exactly one place.  [feed] hands it blocks of events through
-   [block ~cover events lo hi]: events [lo, hi) have passed [check_block],
-   and every object id they allocate is below [cover].  The loop is
-   written flat (unsafe array accesses only, the block being validated;
-   [consult] and [observe_outcome] inlined into it): replay throughput
-   is the bench harness's headline number and every indirection here is
-   paid tens of millions of times per run. *)
+   exist in exactly one place.  [feed live block] hands it blocks of
+   events through [block ~cover events lo hi]: events [lo, hi) have
+   passed [check_block], and every object id they allocate is below
+   [cover].  A feeder that validates as it goes does so against the
+   leased [live] map.  The loop is written flat (unsafe array accesses
+   only, the block being validated; [consult] and [observe_outcome]
+   inlined into it): replay throughput is the bench harness's headline
+   number and every indirection here is paid tens of millions of times
+   per run. *)
 let replay ?cache ?predictor (module B : Backend.BACKEND) ~hint feed : Metrics.t
     =
   (* the prediction front-end: only consulted (and billed) for backends
@@ -146,9 +158,10 @@ let replay ?cache ?predictor (module B : Backend.BACKEND) ~hint feed : Metrics.t
     Lp_obs.Timings.count "replay.scratch_reuses" 1;
   (* The tables cover object ids [0, !covered), the only ids a replay
      writes: sized by the hint, grown when a streamed block allocates
-     beyond them, and reset on that prefix when they go back.  The
-     metrics are read before the driver and the backend give their
-     tables back. *)
+     beyond them, and reset on that prefix when they go back.  The live
+     map is reset on every id a block marked, which a block that failed
+     validation may have taken past [covered].  The metrics are read
+     before the driver and the backend give their tables back. *)
   let covered = ref 0 in
   Fun.protect ~finally:(fun () ->
       let n = !covered in
@@ -159,6 +172,8 @@ let replay ?cache ?predictor (module B : Backend.BACKEND) ~hint feed : Metrics.t
         Array.fill tb.birth_of 0 n (-1);
         Bytes.fill tb.flag_of 0 n '\000'
       end;
+      Bytes.fill tb.live.map 0 tb.live.top '\000';
+      tb.live.top <- 0;
       Scratch.give_back lease tb;
       B.release b)
   @@ fun () ->
@@ -244,7 +259,7 @@ let replay ?cache ?predictor (module B : Backend.BACKEND) ~hint feed : Metrics.t
       incr realloc_moves;
       B.charge_alloc b
         (Cost_model.realloc_move_base
-        + Cost_model.realloc_copy (min tracked new_size))
+        + Cost_model.realloc_copy (if tracked < new_size then tracked else new_size))
     end
     else begin
       incr realloc_in_place;
@@ -252,7 +267,7 @@ let replay ?cache ?predictor (module B : Backend.BACKEND) ~hint feed : Metrics.t
     end;
     Array.unsafe_set tb.addr_of obj new_addr;
     Array.unsafe_set tb.size_of obj new_size;
-    total_bytes := !total_bytes + max 0 (new_size - old_size);
+    if new_size > old_size then total_bytes := !total_bytes + new_size - old_size;
     let l = !live - tracked + new_size in
     live := l;
     if l > !max_live then max_live := l;
@@ -309,17 +324,17 @@ let replay ?cache ?predictor (module B : Backend.BACKEND) ~hint feed : Metrics.t
               (* a Touch of n references walks the object at a 16-byte stride *)
               let addr = Array.unsafe_get addr_of obj in
               let size = Array.unsafe_get size_of obj in
+              let size = if size > 1 then size else 1 in
               let cursor = tb.ref_cursor in
               if addr >= 0 then
                 for _ = 1 to count do
-                  Cache.access c
-                    (addr + (Array.unsafe_get cursor obj mod max 1 size));
+                  Cache.access c (addr + (Array.unsafe_get cursor obj mod size));
                   Array.unsafe_set cursor obj (Array.unsafe_get cursor obj + 16)
                 done
           | _ -> ())
     done
   in
-  feed block;
+  feed tb.live block;
   (* survivors are mispredicted if predicted short-lived: classify them in
      object-id order (deterministic whatever the domain count) with the
      end-of-trace clock, mirroring training's survivor accounting *)
@@ -357,7 +372,7 @@ let run_prepared ?cache ?predictor p ((module B : Backend.BACKEND) as backend) =
   let n_events = Array.length trace.events in
   let m =
     Lp_obs.Timings.time ~stage:("replay/" ^ B.name) ~items:n_events (fun () ->
-        replay ?cache ?predictor backend ~hint:trace.n_objects (fun block ->
+        replay ?cache ?predictor backend ~hint:trace.n_objects (fun _ block ->
             block ~cover:trace.n_objects trace.events 0 n_events))
   in
   Lp_obs.Timings.note_peak_heap ();
@@ -370,10 +385,10 @@ let run_named ?cache ?predictor ?arena_config trace name =
   run ?cache ?predictor trace (Registry.backend ?arena_config name)
 
 (* The streamed feeder: one pull per event into a block of
-   [block_events], validated and replayed when full, so resident memory
-   scales with the live-object population instead of the trace length
-   (the final object count is unknown until the source is exhausted, so
-   the tables grow as ids appear).  Each block is a fresh array in the
+   [block_events], validated against the leased live map and replayed
+   when full, so resident memory scales with the live-object population
+   instead of the trace length (the final object count is unknown until
+   the source is exhausted, so the tables grow as ids appear).  Each block is a fresh array in the
    minor heap: a long-lived buffer would sit in the major heap, and every
    event stored into it would pass through the remembered set and be
    promoted.  A minor collection still promotes the block in flight with
@@ -384,13 +399,12 @@ let no_event = Lp_trace.Event.Touch { obj = 0; count = 0 }
 
 let replay_source ?cache ?predictor (src : Lp_trace.Source.t) backend =
   let hint = match src.n_objects_hint with Some n -> n | None -> 1024 in
-  replay ?cache ?predictor backend ~hint (fun block ->
-      let live = ref (Bytes.make hint '\000') in
+  replay ?cache ?predictor backend ~hint (fun live block ->
       let buf = ref (Array.make block_events no_event) in
       let filled = ref 0 and first = ref 0 in
       let flush () =
         check_block ~limit:max_int live !buf ~first:!first 0 !filled;
-        block ~cover:(Bytes.length !live) !buf 0 !filled;
+        block ~cover:live.top !buf 0 !filled;
         first := !first + !filled;
         filled := 0;
         buf := Array.make block_events no_event

@@ -132,5 +132,7 @@ val run_source :
     detected mid-stream (the count is only known at exhaustion); such
     events surface as never-allocated frees or pass through as touches.
     An error is raised once the block holding the bad event has been
-    read, before any of that block replays.  The source is consumed; a
-    fresh source is needed per replay. *)
+    read, before any of that block replays.  The per-replay tables, the
+    validator's live-object map among them, are leased from the calling
+    domain's pool.  The source is consumed; a fresh source is needed per
+    replay. *)

@@ -233,7 +233,8 @@ let sbrk t need =
 
 let alloc t size =
   if size <= 0 then invalid_arg "First_fit.alloc: size must be positive";
-  let request = max min_block (round8 (size + header)) in
+  let request = round8 (size + header) in
+  let request = if request > min_block then request else min_block in
   t.allocs <- t.allocs + 1;
   let found = ref nil in
   let inspected = ref 0 in

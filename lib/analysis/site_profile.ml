@@ -63,12 +63,6 @@ type merged = {
 
 type Absint.token += Summary of summary | Profile of merged
 
-let portable_of cfg funcs site =
-  match cfg.pc_policy with
-  | Site.Encrypted_key ->
-      Lifetime.Portable.of_key_site site ~rounding:cfg.pc_rounding
-  | _ -> Lifetime.Portable.of_site funcs ~rounding:cfg.pc_rounding site
-
 let enter cfg (ctx : Absint.ctx) =
   let src = ctx.Absint.cx_src in
   let fold = Lp_trace.Lifetimes.Fold.create ctx.Absint.cx_entry in
@@ -89,7 +83,10 @@ let enter cfg (ctx : Absint.ctx) =
             else [||]
           in
           let site = Site.make cfg.pc_policy ~raw_chain ~key ~size in
-          keys := portable_of cfg (src.Source.funcs ()) site :: !keys;
+          keys :=
+            Lifetime.Portable.of_policy_site cfg.pc_policy src.Source.funcs
+              ~rounding:cfg.pc_rounding site
+            :: !keys;
           firsts := ctx.Absint.cx_event :: !firsts
         end;
         Grow.push alloc_site sid

@@ -192,7 +192,7 @@ type online_state = {
   policy : Lp_callchain.Site.policy;
   rounding : int;
   chain_of : int -> Lp_callchain.Chain.t;
-  funcs : unit -> Lp_callchain.Func.table;
+  funcs : Lp_callchain.Func.table;
   ids : Lp_trace.Site_intern.t;  (* (chain, size) -> site id *)
   (* per-site state, by site id (first-seen order) *)
   mutable st_key : int array;
@@ -226,31 +226,24 @@ let create_state ~params ~threshold ~(config : Config.t) ~chain_of ~funcs ~hint 
     obj_site = Lp_trace.Grow.create ~default:(-1) hint;
   }
 
-let grow_int a n =
-  let a' = Array.make (2 * Array.length a) 0 in
-  Array.blit a 0 a' 0 n;
-  a'
-
-let states_grow st n =
-  st.st_key <- grow_int st.st_key n;
-  st.st_obs <- grow_int st.st_obs n;
-  st.st_wobs <- grow_int st.st_wobs n;
-  st.st_wshort <- grow_int st.st_wshort n;
-  st.st_streak <- grow_int st.st_streak n;
-  st.st_rpos <- grow_int st.st_rpos n;
-  let promoted' = Bytes.make (2 * Bytes.length st.st_promoted) '\000' in
-  Bytes.blit st.st_promoted 0 promoted' 0 n;
-  st.st_promoted <- promoted';
-  let ring' = Array.make (2 * Array.length st.st_ring) Bytes.empty in
-  Array.blit st.st_ring 0 ring' 0 n;
-  st.st_ring <- ring'
+(* every per-site table grows by the one growth rule to index [s] *)
+let states_grow st s =
+  let widen a = Lp_trace.Grow.widen a ~default:0 s in
+  st.st_key <- widen st.st_key;
+  st.st_obs <- widen st.st_obs;
+  st.st_wobs <- widen st.st_wobs;
+  st.st_wshort <- widen st.st_wshort;
+  st.st_streak <- widen st.st_streak;
+  st.st_rpos <- widen st.st_rpos;
+  st.st_promoted <- Lp_trace.Grow.widen_bytes st.st_promoted s;
+  st.st_ring <- Lp_trace.Grow.widen st.st_ring ~default:Bytes.empty s
 
 (* a pair seen for the first time gets the next id and fresh state *)
 let site_id st chain size key =
   let n = Lp_trace.Site_intern.length st.ids in
   let s = Lp_trace.Site_intern.intern st.ids chain size in
   if s = n then begin
-    if s = Array.length st.st_key then states_grow st n;
+    if s = Array.length st.st_key then states_grow st s;
     st.st_key.(s) <- key
   end;
   s
@@ -315,18 +308,12 @@ let online_outcome st ~obj ~lifetime ~survived =
    only ever consulted — no outcome yet — do not contribute, matching
    offline training, which never saw them either. *)
 let online_snapshot st () =
-  let funcs = st.funcs () in
   let portable s =
-    let site =
-      Lp_callchain.Site.make st.policy
-        ~raw_chain:(st.chain_of (Lp_trace.Site_intern.chain st.ids s))
-        ~key:st.st_key.(s)
-        ~size:(Lp_trace.Site_intern.size st.ids s)
-    in
-    match st.policy with
-    | Lp_callchain.Site.Encrypted_key ->
-        Portable.of_key_site site ~rounding:st.rounding
-    | _ -> Portable.of_site funcs ~rounding:st.rounding site
+    Portable.of_policy_site st.policy st.funcs ~rounding:st.rounding
+      (Lp_callchain.Site.make st.policy
+         ~raw_chain:(st.chain_of (Lp_trace.Site_intern.chain st.ids s))
+         ~key:st.st_key.(s)
+         ~size:(Lp_trace.Site_intern.size st.ids s))
   in
   let keys = Portable.Table.create 256 in
   for s = 0 to Lp_trace.Site_intern.length st.ids - 1 do
@@ -389,7 +376,7 @@ let instance_for_trace ?(pooled = false) t ~predict_cost
   | Online { params; config } ->
       online_instance ~params ~config ~predict_cost
         ~chain_of:(Lp_trace.Trace.chain_of_alloc trace)
-        ~funcs:(fun () -> trace.funcs)
+        ~funcs:trace.funcs
         ~hint:(Lp_trace.Trace.total_objects trace)
 
 let instance_for_source t ~predict_cost (src : Lp_trace.Source.t) =

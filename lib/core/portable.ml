@@ -15,14 +15,18 @@ let of_site (funcs : Lp_callchain.Func.table) ~rounding (site : Lp_callchain.Sit
     size = Lp_callchain.Site.round_size ~multiple:rounding site.size;
   }
 
-(* Under the Encrypted_key policy the chain is a single XOR key, already
-   name-derived and hence stable across runs; [of_site] would misinterpret
-   it as a function id.  Use this instead. *)
-let of_key_site (site : Lp_callchain.Site.t) ~rounding =
-  {
-    chain = [ string_of_int site.chain.(0) ];
-    size = Lp_callchain.Site.round_size ~multiple:rounding site.size;
-  }
+(* The one site-to-key rule of a policy.  Under [Encrypted_key] the
+   chain is a single XOR key, already name-derived and hence stable
+   across runs; [of_site] would misinterpret it as a function id. *)
+let of_policy_site (policy : Lp_callchain.Site.policy) funcs ~rounding
+    (site : Lp_callchain.Site.t) =
+  match policy with
+  | Encrypted_key ->
+      {
+        chain = [ string_of_int site.chain.(0) ];
+        size = Lp_callchain.Site.round_size ~multiple:rounding site.size;
+      }
+  | _ -> of_site funcs ~rounding site
 
 let equal a b = a.size = b.size && List.equal String.equal a.chain b.chain
 

@@ -24,9 +24,7 @@ type t = {
 }
 
 let portable_of_site t funcs site =
-  match t.policy with
-  | Lp_callchain.Site.Encrypted_key -> Portable.of_key_site site ~rounding:t.rounding
-  | _ -> Portable.of_site funcs ~rounding:t.rounding site
+  Portable.of_policy_site t.policy funcs ~rounding:t.rounding site
 
 let build ?(selection = All_short) ~(config : Config.t) ~funcs
     (table : Train.site_table) =
@@ -132,10 +130,9 @@ let for_lookup_in m t ~chain_of ~funcs =
       let site =
         Lp_callchain.Site.make t.policy ~raw_chain:(chain_of chain) ~key ~size
       in
-      let hit = predicts_site t (funcs ()) site in
+      let hit = predicts_site t funcs site in
       let id = Lp_trace.Site_intern.intern m.ids ck size in
-      if id = Bytes.length m.verdicts then
-        m.verdicts <- Bytes.extend m.verdicts 0 (Bytes.length m.verdicts);
+      m.verdicts <- Lp_trace.Grow.widen_bytes m.verdicts id;
       Bytes.set m.verdicts id (if hit then '\001' else '\000');
       hit
     end
@@ -143,9 +140,7 @@ let for_lookup_in m t ~chain_of ~funcs =
 let for_lookup t ~chain_of ~funcs = for_lookup_in (create_memo ()) t ~chain_of ~funcs
 
 let for_trace t (trace : Lp_trace.Trace.t) =
-  for_lookup t
-    ~chain_of:(Lp_trace.Trace.chain_of_alloc trace)
-    ~funcs:(fun () -> trace.funcs)
+  for_lookup t ~chain_of:(Lp_trace.Trace.chain_of_alloc trace) ~funcs:trace.funcs
 
 let for_source t (src : Lp_trace.Source.t) =
   for_lookup t ~chain_of:src.Lp_trace.Source.chain ~funcs:src.Lp_trace.Source.funcs
@@ -159,6 +154,4 @@ let for_trace_pooled t (trace : Lp_trace.Trace.t) =
   let m = Domain.DLS.get memo_key in
   reset_memo m;
   Lp_obs.Timings.count "predictor.memo_reuses" 1;
-  for_lookup_in m t
-    ~chain_of:(Lp_trace.Trace.chain_of_alloc trace)
-    ~funcs:(fun () -> trace.funcs)
+  for_lookup_in m t ~chain_of:(Lp_trace.Trace.chain_of_alloc trace) ~funcs:trace.funcs

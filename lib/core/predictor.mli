@@ -41,8 +41,7 @@ val threshold : t -> int
 val portable_of_site :
   t -> Lp_callchain.Func.table -> Lp_callchain.Site.t -> Portable.t
 (** The portable key of a raw site under the predictor's policy and
-    rounding ({!Portable.of_key_site} under [Encrypted_key], else
-    {!Portable.of_site}). *)
+    rounding ({!Portable.of_policy_site}). *)
 
 val predicts_site : t -> Lp_callchain.Func.table -> Lp_callchain.Site.t -> bool
 val predicts_key : t -> Portable.t -> bool
@@ -51,7 +50,7 @@ val iter_keys : t -> (Portable.t -> unit) -> unit
 val for_lookup :
   t ->
   chain_of:(int -> Lp_callchain.Chain.t) ->
-  funcs:(unit -> Lp_callchain.Func.table) ->
+  funcs:Lp_callchain.Func.table ->
   obj:int ->
   size:int ->
   chain:int ->
@@ -61,8 +60,7 @@ val for_lookup :
     (chain, size) pair — (key, size) under [Encrypted_key], the pair the
     policy reads — is resolved once, so the simulation driver's
     per-allocation test is a hash-table probe — mirroring the small site
-    hash table of §5.1.  [funcs] is a thunk because a generator source's
-    table only exists once streaming has started. *)
+    hash table of §5.1. *)
 
 val for_trace :
   t ->

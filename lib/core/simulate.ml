@@ -127,19 +127,19 @@ let run_streamed ?(allocators = default_allocators) ?(wrap = fun b -> b)
     ~(config : Config.t) ~(oracle : Oracle.t)
     ~(source : unit -> Lp_trace.Source.t) () : t =
   (* The CCE pricing needs the stream's call and object totals before any
-     replay: file-backed sources declare both up front, text and
-     generator sources pay one probe drain. *)
+     replay.  Every source declares its counters up front and binary and
+     in-memory sources their object count too; a text source pays one
+     probe drain for it. *)
   let calls, allocs =
     let probe = source () in
-    match
-      ( probe.Lp_trace.Source.counters_now (),
-        probe.Lp_trace.Source.n_objects_hint )
-    with
-    | Some c, Some n -> (c.Lp_trace.Source.calls, n)
-    | _ ->
-        Lp_trace.Source.iter (fun _ -> ()) probe;
-        let c = Lp_trace.Source.counters probe in
-        (c.Lp_trace.Source.calls, Lp_trace.Source.n_objects probe)
+    let allocs =
+      match probe.Lp_trace.Source.n_objects_hint with
+      | Some n -> n
+      | None ->
+          Lp_trace.Source.iter ignore probe;
+          Lp_trace.Source.n_objects probe
+    in
+    ((Lp_trace.Source.counters probe).Lp_trace.Source.calls, allocs)
   in
   let jobs =
     build_jobs ~allocators ~wrap ~config ~cce:(cce_cost_of ~calls ~allocs)

@@ -58,9 +58,9 @@ val run_streamed :
     event stream on every call; each replay job opens its own, on the
     domain that runs it, so per-domain memory is bounded by one stream
     and concurrent replays never share a cursor.  Metrics are
-    byte-identical to {!run} on the materialized equivalent.  Sources
-    that do not declare their call/object totals up front (text,
-    generators) cost one extra probe drain for the CCE pricing. *)
+    byte-identical to {!run} on the materialized equivalent.  A text
+    source, which does not declare its object total up front, costs one
+    extra probe drain for the CCE pricing. *)
 
 val cce_cost : Lp_trace.Trace.t -> int
 (** Per-allocation prediction cost under call-chain encryption, amortised

@@ -19,12 +19,12 @@ type t = {
   mutable instr_count : int;
 }
 
-let create ?sink ?(ref_ratio = 0.25) ~program ~input () =
+let create ?(ref_ratio = 0.25) ~program ~input () =
   let funcs = Lp_callchain.Func.create_table () in
   {
     funcs;
     stack = Lp_callchain.Stack.create funcs;
-    builder = Lp_trace.Trace.Builder.create ?sink ~program ~input ~funcs ();
+    builder = Lp_trace.Trace.Builder.create ~program ~input ~funcs ();
     objects = Array.make 1024 Freed;
     n_objects = 0;
     live = 0;

@@ -23,18 +23,12 @@ type handle = private int
 (** An allocated, not-yet-freed object. *)
 
 val create :
-  ?sink:Lp_trace.Trace.Builder.sink ->
   ?ref_ratio:float ->
   program:string ->
   input:string ->
   unit ->
   t
-(** [sink], when given, puts the underlying trace builder in streaming
-    mode: events flow to the sink as they happen and {!finish} returns a
-    summary trace with an empty event array (see
-    {!Lp_trace.Trace.Builder}).
-
-    [ref_ratio] (default 0.25) models the stack and global references
+(** [ref_ratio] (default 0.25) models the stack and global references
     implied by ordinary computation: every simulated instruction charged
     with {!instructions} also accrues [ref_ratio] non-heap references at
     {!finish} time.  Heap references are always explicit ({!touch});

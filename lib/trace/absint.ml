@@ -205,7 +205,7 @@ let chain_depth src chain_id =
 let render_chain (src : Source.t) chain_id =
   if not (known src chain_id) then Printf.sprintf "chain %d" chain_id
   else
-    match Chain.names (src.Source.funcs ()) (src.Source.chain chain_id) with
+    match Chain.names src.Source.funcs (src.Source.chain chain_id) with
     | [] -> "<empty chain>"
     | names ->
         let shown = List.filteri (fun i _ -> i < 3) names in

@@ -1204,19 +1204,6 @@ let indexed_chunk_events ix = ix.ix_chunk_events
 let indexed_chunks ix = ix.ix_chunks
 let indexed_carry ix i = ix.ix_carries.(i)
 let indexed_funcs ix = ix.ix_tbl.funcs
-let indexed_n_chains ix = ix.ix_tbl.n_chains
-
-let indexed_chain ix id =
-  if id < 0 || id >= ix.ix_tbl.n_chains then
-    invalid_arg (Printf.sprintf "Binio.indexed_chain: unknown chain %d" id)
-  else ix.ix_tbl.chains.(id)
-
-let indexed_n_tags ix = ix.ix_tbl.n_tags
-
-let indexed_tag ix id =
-  if id < 0 || id >= ix.ix_tbl.n_tags then
-    invalid_arg (Printf.sprintf "Binio.indexed_tag: unknown tag %d" id)
-  else ix.ix_tbl.tags.(id)
 
 (* A decoder over events [first, first+count).  Its tables are the
    (complete, shared, immutable) index tables, and its plan jumps

@@ -197,7 +197,8 @@ val decoder_version : decoder -> int
 val decoder_funcs : decoder -> Lp_callchain.Func.table
 (** The interned tables as currently known; for a v1/v2 decoder they are
     complete from the start, for a sequential v3 decoder they grow as
-    chunk boundaries pass. *)
+    chunk boundaries pass, and a {!window_decoder} shares its index's
+    complete tables. *)
 
 val decoder_chain : decoder -> int -> Lp_callchain.Chain.t
 val decoder_n_chains : decoder -> int
@@ -248,10 +249,6 @@ val indexed_carry : indexed -> int -> carry array
 (** The carry-in set of one chunk, ascending object ids. *)
 
 val indexed_funcs : indexed -> Lp_callchain.Func.table
-val indexed_chain : indexed -> int -> Lp_callchain.Chain.t
-val indexed_n_chains : indexed -> int
-val indexed_tag : indexed -> int -> string
-val indexed_n_tags : indexed -> int
 
 (** {1 Wire primitives}
 

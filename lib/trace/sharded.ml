@@ -135,5 +135,5 @@ let range t ~first ~count =
 let source t = Source.of_indexed t.ix
 
 let range_source rg =
-  Source.sub (source rg.rg_trace) ~first:rg.rg_first_event
+  Source.of_indexed_window rg.rg_trace.ix ~first:rg.rg_first_event
     ~count:rg.rg_n_events

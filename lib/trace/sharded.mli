@@ -56,8 +56,9 @@ val range : t -> first:int -> count:int -> range
     pre-range state).  @raise Invalid_argument on a bad chunk range. *)
 
 val source : t -> Source.t
-(** Stream the whole trace; seekable ({!Source.seek}/{!Source.sub}). *)
+(** Stream the whole trace ({!Source.of_indexed}). *)
 
 val range_source : range -> Source.t
-(** Stream exactly the range's events (complete tables visible from the
+(** Stream exactly the range's events through
+    {!Source.of_indexed_window} (complete tables visible from the
     start).  Fresh cursor per call; safe to call on any domain. *)

@@ -14,10 +14,8 @@
     functions at that moment, and stays resolvable with the same value
     for the rest of the stream.  [n_chains]/[n_tags] are monotone.
     [refs_of obj] is final once [obj]'s alloc event has been yielded
-    (declared up front by the file codecs, complete at exhaustion for
-    generators).  [counters_now] is [Some] from the start for file and
-    in-memory sources and becomes [Some] at exhaustion for generator
-    sources.
+    (declared up front by the file codecs).  [counters_now] is [Some]
+    from the start for every constructor.
 
     {b Cursor contract.}  Every constructor supplies one bulk cursor,
     [pull]: [pull n f] hands up to [n] events to [f] in stream order and
@@ -48,8 +46,7 @@ type t = {
   n_objects_hint : int option;
       (** final object count when known up front (file headers, traces) *)
   n_events_hint : int option;
-  funcs : unit -> Lp_callchain.Func.table;
-      (** thunk: a generator's table exists only once it has started *)
+  funcs : Lp_callchain.Func.table;
   chain : int -> Lp_callchain.Chain.t;
   n_chains : unit -> int;
   tag : int -> string;
@@ -61,10 +58,6 @@ type t = {
       (** the raw bulk cursor (see the cursor contract above); consumers
           should call {!iter}, {!fold} or {!next} instead so streaming
           accounting happens *)
-  seek_to : (int -> unit) option;
-      (** when seekable: reposition so the next event yielded is the
-          given index *)
-  sub_range : (first:int -> count:int -> t) option;
   mutable streamed : int;
   mutable finished : bool;
 }
@@ -82,30 +75,24 @@ val events_streamed : t -> int
 (** Events yielded so far. *)
 
 val counters : t -> counters
-(** @raise Invalid_argument when not yet known ({!counters_now} is the
-    non-raising form). *)
+(** [counters_now] without the option, which every constructor fills from
+    the start. *)
 
 val n_objects : t -> int
 (** Final object count.  @raise Invalid_argument before exhaustion. *)
 
-val seek : t -> int -> unit
-(** [seek t i] repositions so the next event yielded is event [i] of the
-    underlying range.  Only in-memory traces and sharded ([.lpt] v3)
-    files are seekable.
-    @raise Failure when the source is not seekable. *)
-
-val sub : t -> first:int -> count:int -> t
-(** [sub t ~first ~count] is a fresh source over the [count] events
-    starting at event [first] of [t]'s range, with the same tables.
-    [t] itself is left untouched.
-    @raise Failure when the source is not seekable. *)
-
 val of_trace : Trace.t -> t
 (** Stream an in-memory trace.  Cheap; a fresh cursor per call. *)
 
+val of_indexed_window : Binio.indexed -> first:int -> count:int -> t
+(** [of_indexed_window ix ~first ~count] streams events
+    [\[first, first+count)] of a v3 index through a
+    {!Binio.window_decoder}, with the complete tables visible from the
+    start.  Any number may be open at once, on any domain.
+    @raise Invalid_argument on a bad range. *)
+
 val of_indexed : Binio.indexed -> t
-(** Stream a seekable v3 index ({!of_file} does this automatically for
-    v3 files); the result supports {!seek} and {!sub}. *)
+(** The whole-trace window ({!of_file} opens v3 files this way). *)
 
 val of_string : ?name:string -> string -> t
 (** Stream serialized bytes, auto-detecting text vs binary like
@@ -119,17 +106,3 @@ val of_file : string -> t
     text files parse line-at-a-time from the channel (closed at
     exhaustion).
     @raise Failure on malformed input, [Sys_error] if unreadable. *)
-
-val of_generator :
-  program:string ->
-  input:string ->
-  (sink:Trace.Builder.sink -> Trace.t) ->
-  t
-(** [of_generator ~program ~input produce] turns push-style trace
-    production into a pull-based source using an effect handler: the
-    producer runs only while the consumer demands events, suspended at
-    each emission.  [produce] must create its builder with the given
-    [sink] and return the {!Trace.Builder.finish} summary (whose event
-    array is empty in sink mode); the summary supplies the final
-    execution counters.  The producer runs at most once; the source is
-    single-shot like every other constructor. *)

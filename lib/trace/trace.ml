@@ -13,25 +13,6 @@ type t = {
   tags : string array;
 }
 
-module Int_array = struct
-  type t = { mutable data : int array; mutable len : int }
-
-  let create () = { data = Array.make 1024 0; len = 0 }
-
-  let push t x =
-    if t.len = Array.length t.data then begin
-      let grown = Array.make (2 * t.len) 0 in
-      Array.blit t.data 0 grown 0 t.len;
-      t.data <- grown
-    end;
-    t.data.(t.len) <- x;
-    t.len <- t.len + 1
-
-  let get t i = t.data.(i)
-  let set t i x = t.data.(i) <- x
-  let to_array t = Array.sub t.data 0 t.len
-end
-
 module Builder = struct
   type trace = t
 
@@ -42,29 +23,10 @@ module Builder = struct
     let hash = Lp_callchain.Chain.hash
   end)
 
-  type view = {
-    view_funcs : Lp_callchain.Func.table;
-    chain_of : int -> Lp_callchain.Chain.t;
-    n_chains : unit -> int;
-    tag_of : int -> string;
-    n_tags : unit -> int;
-    refs_of : int -> int;
-    n_objects_so_far : unit -> int;
-  }
-
-  type sink = { emit : Event.t -> unit; mutable view : view option }
-
-  let sink emit = { emit; view = None }
-
   type t = {
     program : string;
     input : string;
     funcs : Lp_callchain.Func.table;
-    sink_to : sink option;
-    (* the last pushed event is held back one step so an immediately
-       following touch of the same object can merge into it — identically
-       in the materialized and streaming modes *)
-    mutable pending : Event.t option;
     mutable events : Event.t array;
     mutable n_events : int;
     chain_ids : int Chain_tbl.t;
@@ -76,98 +38,49 @@ module Builder = struct
     mutable n_objects : int;
     (* object id -> current size; updated by realloc, removed by free *)
     alive : (int, int) Hashtbl.t;
-    obj_refs : Int_array.t;
+    obj_refs : Grow.t;
     mutable instructions : int;
     mutable calls : int;
     mutable heap_refs : int;
     mutable non_heap : int;
   }
 
-  let view t =
+  let no_event = Event.Free { obj = -1; size = -1 }
+
+  let create ~program ~input ~funcs () =
     {
-      view_funcs = t.funcs;
-      chain_of =
-        (fun id ->
-          if id < 0 || id >= t.n_chains then
-            invalid_arg (Printf.sprintf "Trace.Builder: unknown chain %d" id)
-          else t.chains.(id));
-      n_chains = (fun () -> t.n_chains);
-      tag_of =
-        (fun id ->
-          if id < 0 || id >= t.n_tags then
-            invalid_arg (Printf.sprintf "Trace.Builder: unknown tag %d" id)
-          else t.tag_names.(id));
-      n_tags = (fun () -> t.n_tags);
-      refs_of =
-        (fun obj -> if obj < t.obj_refs.Int_array.len then Int_array.get t.obj_refs obj else 0);
-      n_objects_so_far = (fun () -> t.n_objects);
+      program;
+      input;
+      funcs;
+      events = Array.make 4096 no_event;
+      n_events = 0;
+      chain_ids = Chain_tbl.create 256;
+      chains = Array.make 64 [||];
+      n_chains = 0;
+      tag_ids = Hashtbl.create 32;
+      tag_names = Array.make 16 "";
+      n_tags = 0;
+      n_objects = 0;
+      alive = Hashtbl.create 1024;
+      obj_refs = Grow.create 1024;
+      instructions = 0;
+      calls = 0;
+      heap_refs = 0;
+      non_heap = 0;
     }
 
-  let create ?sink:sink_to ~program ~input ~funcs () =
-    let t =
-      {
-        program;
-        input;
-        funcs;
-        sink_to;
-        pending = None;
-        (* the events array is only the materialized-mode store; a streaming
-           builder forwards every event to its sink instead *)
-        events =
-          (match sink_to with
-          | None -> Array.make 4096 (Event.Free { obj = -1; size = -1 })
-          | Some _ -> [||]);
-        n_events = 0;
-        chain_ids = Chain_tbl.create 256;
-        chains = Array.make 64 [||];
-        n_chains = 0;
-        tag_ids = Hashtbl.create 32;
-        tag_names = Array.make 16 "";
-        n_tags = 0;
-        n_objects = 0;
-        alive = Hashtbl.create 1024;
-        obj_refs = Int_array.create ();
-        instructions = 0;
-        calls = 0;
-        heap_refs = 0;
-        non_heap = 0;
-      }
-    in
-    (match sink_to with Some s -> s.view <- Some (view t) | None -> ());
-    t
-
-  let store_event t e =
-    if t.n_events = Array.length t.events then begin
-      let grown =
-        Array.make (max 4096 (2 * t.n_events)) (Event.Free { obj = -1; size = -1 })
-      in
-      Array.blit t.events 0 grown 0 t.n_events;
-      t.events <- grown
-    end;
+  let push_event t e =
+    if t.n_events = Array.length t.events then
+      t.events <- Grow.widen t.events ~default:no_event t.n_events;
     t.events.(t.n_events) <- e;
     t.n_events <- t.n_events + 1
-
-  let flush_pending t =
-    match t.pending with
-    | None -> ()
-    | Some e ->
-        t.pending <- None;
-        (match t.sink_to with Some s -> s.emit e | None -> store_event t e)
-
-  let push_event t e =
-    flush_pending t;
-    t.pending <- Some e
 
   let intern_chain t chain =
     match Chain_tbl.find_opt t.chain_ids chain with
     | Some id -> id
     | None ->
         let id = t.n_chains in
-        if id = Array.length t.chains then begin
-          let grown = Array.make (2 * id) [||] in
-          Array.blit t.chains 0 grown 0 id;
-          t.chains <- grown
-        end;
+        t.chains <- Grow.widen t.chains ~default:[||] id;
         t.chains.(id) <- chain;
         t.n_chains <- id + 1;
         Chain_tbl.add t.chain_ids chain id;
@@ -178,11 +91,7 @@ module Builder = struct
     | Some id -> id
     | None ->
         let id = t.n_tags in
-        if id = Array.length t.tag_names then begin
-          let grown = Array.make (2 * id) "" in
-          Array.blit t.tag_names 0 grown 0 id;
-          t.tag_names <- grown
-        end;
+        t.tag_names <- Grow.widen t.tag_names ~default:"" id;
         t.tag_names.(id) <- name;
         t.n_tags <- id + 1;
         Hashtbl.replace t.tag_ids name id;
@@ -192,7 +101,7 @@ module Builder = struct
     let obj = t.n_objects in
     t.n_objects <- obj + 1;
     Hashtbl.replace t.alive obj size;
-    Int_array.push t.obj_refs 0;
+    Grow.push t.obj_refs 0;
     push_event t (Event.Alloc { obj; size; chain; key; tag });
     obj
 
@@ -214,14 +123,14 @@ module Builder = struct
     push_event t (Event.Free { obj; size })
 
   let touch t ~obj n =
-    Int_array.set t.obj_refs obj (Int_array.get t.obj_refs obj + n);
+    Grow.set t.obj_refs obj (Grow.get t.obj_refs obj + n);
     t.heap_refs <- t.heap_refs + n;
-    (* merging with an immediately preceding touch of the same object keeps
-       the stream compact; the merge target is the held-back pending event,
-       replaced by a fresh record so already-emitted events stay immutable *)
-    match t.pending with
-    | Some (Event.Touch r) when r.obj = obj ->
-        t.pending <- Some (Event.Touch { obj; count = r.count + n })
+    (* an immediately preceding touch of the same object absorbs this one,
+       which keeps the stream compact *)
+    let last = t.n_events - 1 in
+    match if last < 0 then no_event else t.events.(last) with
+    | Event.Touch r when r.obj = obj ->
+        t.events.(last) <- Event.Touch { obj; count = r.count + n }
     | _ -> push_event t (Event.Touch { obj; count = n })
 
   let non_heap_refs t n = t.non_heap <- t.non_heap + n
@@ -230,7 +139,6 @@ module Builder = struct
   let live_objects t = Hashtbl.length t.alive
 
   let finish t : trace =
-    flush_pending t;
     {
       program = t.program;
       input = t.input;
@@ -242,7 +150,7 @@ module Builder = struct
       calls = t.calls;
       heap_refs = t.heap_refs;
       total_refs = t.heap_refs + t.non_heap;
-      obj_refs = Int_array.to_array t.obj_refs;
+      obj_refs = Grow.take t.obj_refs;
       tags = Array.sub t.tag_names 0 t.n_tags;
     }
 end

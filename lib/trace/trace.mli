@@ -22,40 +22,14 @@ type t = {
 }
 
 module Builder : sig
-  (** Incremental construction, used by the instrumented runtime.
-
-      A builder normally materializes the full event array ({!finish}
-      returns the complete trace).  Attaching a {!sink} switches it to
-      streaming mode: every event is handed to the sink as soon as it is
-      final (touch-merging resolved) and is not retained, so a workload
-      can drive a consumer directly with bounded memory.  The event
-      sequence a sink observes is byte-identical to the [events] array a
-      sink-less builder would have produced. *)
+  (** Incremental construction, used by the instrumented runtime: events
+      accumulate in program order and {!finish} returns the complete
+      trace. *)
 
   type trace := t
   type t
 
-  type view = {
-    view_funcs : Lp_callchain.Func.table;
-    chain_of : int -> Lp_callchain.Chain.t;  (** resolve an interned chain id *)
-    n_chains : unit -> int;  (** chains interned so far *)
-    tag_of : int -> string;  (** resolve an interned tag id *)
-    n_tags : unit -> int;  (** tags interned so far *)
-    refs_of : int -> int;  (** per-object heap refs recorded so far *)
-    n_objects_so_far : unit -> int;
-  }
-  (** Live read access to the builder's incrementally-interned tables.
-      Ids are dense: an id referenced by an already-emitted event is
-      always resolvable. *)
-
-  type sink = { emit : Event.t -> unit; mutable view : view option }
-  (** Where a streaming builder sends events.  [view] is populated by
-      {!create} before the first [emit]. *)
-
-  val sink : (Event.t -> unit) -> sink
-
-  val create :
-    ?sink:sink -> program:string -> input:string -> funcs:Lp_callchain.Func.table -> unit -> t
+  val create : program:string -> input:string -> funcs:Lp_callchain.Func.table -> unit -> t
 
   val intern_chain : t -> Lp_callchain.Chain.t -> int
   (** Intern a raw stack snapshot; equal chains share one id. *)
@@ -96,6 +70,7 @@ module Builder : sig
   (** Objects currently alive (born and not yet freed). *)
 
   val finish : t -> trace
+  (** The recorded trace.  The builder must not be used afterwards. *)
 end
 
 val iter_allocs :

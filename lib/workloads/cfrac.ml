@@ -476,9 +476,9 @@ let input_primes = function
 
 let inputs = [ "tiny"; "train"; "test" ]
 
-let run ?sink ?(scale = 1.0) ~input () =
+let run ?(scale = 1.0) ~input () =
   let battery = input_primes input in
-  let rt = Rt.create ?sink ~ref_ratio:0.22 ~program:"cfrac" ~input () in
+  let rt = Rt.create ~ref_ratio:0.22 ~program:"cfrac" ~input () in
   List.iter
     (fun (p, q, iters) ->
       let n = Printf.sprintf "%d" (p * q) in

@@ -29,12 +29,7 @@ val factor_string : Lp_ialloc.Runtime.t -> n:string -> max_iters:int -> result
 val inputs : string list
 (** Named input sets, smallest first. *)
 
-val run :
-  ?sink:Lp_trace.Trace.Builder.sink ->
-  ?scale:float ->
-  input:string ->
-  unit ->
-  Lp_trace.Trace.t
+val run : ?scale:float -> input:string -> unit -> Lp_trace.Trace.t
 (** Run the workload on a named input and return its allocation trace.
     [scale] (default 1.0) scales the iteration budget down for quick tests.
 

@@ -221,7 +221,7 @@ let input_plas input : pla list =
 
 let inputs = [ "tiny"; "train"; "test" ]
 
-let run ?sink ?(scale = 1.0) ~input () =
+let run ?(scale = 1.0) ~input () =
   let plas = input_plas input in
   let plas =
     if scale >= 1.0 then plas
@@ -231,6 +231,6 @@ let run ?sink ?(scale = 1.0) ~input () =
       List.filteri (fun i _ -> i < keep) plas
     end
   in
-  let rt = Rt.create ?sink ~ref_ratio:0.06 ~program:"espresso" ~input () in
+  let rt = Rt.create ~ref_ratio:0.06 ~program:"espresso" ~input () in
   List.iter (fun { n_vars; on_set } -> ignore (minimize rt ~n_vars ~on_set : stats)) plas;
   Rt.finish rt

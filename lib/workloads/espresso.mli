@@ -31,12 +31,7 @@ val minimize : Lp_ialloc.Runtime.t -> n_vars:int -> on_set:string list -> stats
 
 val inputs : string list
 
-val run :
-  ?sink:Lp_trace.Trace.Builder.sink ->
-  ?scale:float ->
-  input:string ->
-  unit ->
-  Lp_trace.Trace.t
+val run : ?scale:float -> input:string -> unit -> Lp_trace.Trace.t
 (** Run a named input set: a deterministic battery of synthetic PLAs
     ("examples provided with the release code" in the paper).
     @raise Invalid_argument on an unknown input name. *)

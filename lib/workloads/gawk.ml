@@ -63,13 +63,13 @@ let input_spec = function
 
 let inputs = [ "tiny"; "train"; "test" ]
 
-let run ?sink ?(scale = 1.0) ~input () =
+let run ?(scale = 1.0) ~input () =
   let seed, n_words = input_spec input in
   let n_words = max 50 (int_of_float (float_of_int n_words *. scale)) in
   let rng = Prng.of_string seed in
   let lines = dictionary_lines rng ~n_words in
   (* The interpreter's explicit per-eval stack references already put the
      heap fraction at the paper's ~47% for GAWK; no implied extra. *)
-  let rt = Rt.create ?sink ~ref_ratio:0.0 ~program:"gawk" ~input () in
+  let rt = Rt.create ~ref_ratio:0.0 ~program:"gawk" ~input () in
   let (_ : string) = run_script rt ~script ~lines in
   Rt.finish rt

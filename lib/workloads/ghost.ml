@@ -116,10 +116,10 @@ let input_spec = function
 
 let inputs = [ "tiny"; "train"; "test" ]
 
-let run ?sink ?(scale = 1.0) ~input () =
+let run ?(scale = 1.0) ~input () =
   let style, pages, seed = input_spec input in
   let pages = max 1 (int_of_float (float_of_int pages *. scale)) in
   let source = document ~style ~pages ~seed in
-  let rt = Rt.create ?sink ~ref_ratio:0.12 ~program:"ghost" ~input () in
+  let rt = Rt.create ~ref_ratio:0.12 ~program:"ghost" ~input () in
   let (_ : summary) = interpret rt ~source in
   Rt.finish rt

@@ -22,10 +22,5 @@ val document : style:[ `Manual | `Thesis ] -> pages:int -> seed:string -> string
 
 val inputs : string list
 
-val run :
-  ?sink:Lp_trace.Trace.Builder.sink ->
-  ?scale:float ->
-  input:string ->
-  unit ->
-  Lp_trace.Trace.t
+val run : ?scale:float -> input:string -> unit -> Lp_trace.Trace.t
 (** @raise Invalid_argument on an unknown input name. *)

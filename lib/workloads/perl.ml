@@ -72,7 +72,7 @@ let input_spec = function
 
 let inputs = [ "tiny"; "train"; "test" ]
 
-let run ?sink ?(scale = 1.0) ~input () =
+let run ?(scale = 1.0) ~input () =
   let script, seed, n_lines, words_per_line = input_spec input in
   let n_lines = max 20 (int_of_float (float_of_int n_lines *. scale)) in
   let rng = Prng.of_string seed in
@@ -83,6 +83,6 @@ let run ?sink ?(scale = 1.0) ~input () =
           (List.init (Prng.in_range rng 1 (2 * words_per_line))
              (fun _ -> Prng.choose rng vocab)))
   in
-  let rt = Rt.create ?sink ~ref_ratio:0.0 ~program:"perl" ~input () in
+  let rt = Rt.create ~ref_ratio:0.0 ~program:"perl" ~input () in
   let (_ : string) = run_script rt ~script ~stdin:lines in
   Rt.finish rt

@@ -14,12 +14,7 @@ val format_script : string
 
 val inputs : string list
 
-val run :
-  ?sink:Lp_trace.Trace.Builder.sink ->
-  ?scale:float ->
-  input:string ->
-  unit ->
-  Lp_trace.Trace.t
+val run : ?scale:float -> input:string -> unit -> Lp_trace.Trace.t
 (** @raise Invalid_argument on an unknown input name. *)
 
 val run_script :

@@ -416,11 +416,11 @@ let input_spec = function
 
 let inputs = [ "tiny"; "train"; "test" ]
 
-let run ?sink ?(scale = 1.0) ~input () =
+let run ?(scale = 1.0) ~input () =
   let p = input_spec input in
   let iterations =
     max 12 (int_of_float (float_of_int p.iterations *. scale))
   in
-  let rt = Rt.create ?sink ~ref_ratio:0.1 ~program:"pint" ~input () in
+  let rt = Rt.create ~ref_ratio:0.1 ~program:"pint" ~input () in
   let (_ : int) = interpret rt { p with iterations } in
   Rt.finish rt

@@ -2,12 +2,7 @@ type program = {
   name : string;
   description : string;
   input_notes : string;
-  run :
-    ?sink:Lp_trace.Trace.Builder.sink ->
-    ?scale:float ->
-    input:string ->
-    unit ->
-    Lp_trace.Trace.t;
+  run : ?scale:float -> input:string -> unit -> Lp_trace.Trace.t;
 }
 
 let programs =
@@ -96,10 +91,3 @@ let trace ?(scale = 1.0) ~program ~input () =
       t
 
 let clear_cache () = Hashtbl.reset cache
-
-(* Streaming access deliberately bypasses the memo cache: a source is
-   single-shot and the whole point is never holding the event array. *)
-let source ?(scale = 1.0) ~program ~input () =
-  let p = find program in
-  Lp_trace.Source.of_generator ~program:p.name ~input (fun ~sink ->
-      p.run ~sink ~scale ~input ())

@@ -10,14 +10,7 @@ type program = {
   name : string;
   description : string;  (** the Table 1 blurb *)
   input_notes : string;  (** how train and test inputs differ, per Table 1/4 *)
-  run :
-    ?sink:Lp_trace.Trace.Builder.sink ->
-    ?scale:float ->
-    input:string ->
-    unit ->
-    Lp_trace.Trace.t;
-      (** [sink] streams events out as they happen instead of
-          materializing them (see {!Lp_trace.Trace.Builder}). *)
+  run : ?scale:float -> input:string -> unit -> Lp_trace.Trace.t;
 }
 
 val programs : program list
@@ -32,12 +25,3 @@ val trace : ?scale:float -> program:string -> input:string -> unit -> Lp_trace.T
 (** Memoized trace access.  [input] is ["train"], ["test"] or ["tiny"]. *)
 
 val clear_cache : unit -> unit
-
-val source :
-  ?scale:float -> program:string -> input:string -> unit -> Lp_trace.Source.t
-(** A pull-based event source that runs the workload incrementally
-    ({!Lp_trace.Source.of_generator}): the generator executes only as
-    events are demanded and no event array is ever materialized.
-    Single-shot, and deliberately not memoized — call again for a fresh
-    stream.
-    @raise Not_found on an unknown program name. *)

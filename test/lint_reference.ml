@@ -36,8 +36,7 @@ let run_source ?only ?disable ?(max_chain_depth = Lp_analysis.Lint.default_max_c
       Printf.sprintf "chain %d" chain_id
     else
       let names =
-        Lp_callchain.Chain.names
-          (src.Lp_trace.Source.funcs ())
+        Lp_callchain.Chain.names src.Lp_trace.Source.funcs
           (src.Lp_trace.Source.chain chain_id)
       in
       match names with

@@ -264,6 +264,42 @@ let warm_pool_replays_like_cold () =
     Alcotest.failf "%d table reuses over %d warm replays" reuses
       (3 * List.length backends)
 
+(* A streamed text replay validates against the domain's pooled live
+   map.  Its 1024-slot hint covers ids below 1024 only, and a block that
+   fails validation never reaches the replay, so the tables never grow
+   past that prefix; yet the failed block below marks ids 1024 to 1031
+   live before its bad free.  The next replay on the domain allocates
+   those ids, and must replay as on a fresh domain. *)
+let live_map_clean_after_failed_block () =
+  let text lines =
+    String.concat "\n"
+      ([ "trace t i"; "func 0 main"; "chain 0 0" ] @ lines
+      @ [ "counters 1 1 1 1"; "end"; "" ])
+  in
+  let allocs ids =
+    List.map (fun obj -> Printf.sprintf "a %d %d 0 %d -1 1" obj (16 + obj) obj) ids
+  in
+  let high = List.init 8 (fun i -> 1024 + i) in
+  let failing = text (allocs high @ [ "f 4000" ]) in
+  let valid =
+    text (allocs (List.init 8 Fun.id) @ allocs high
+          @ List.map (Printf.sprintf "f %d") high)
+  in
+  let b = Lp_allocsim.Registry.backend "first-fit" in
+  let replay s =
+    Lp_allocsim.Metrics.to_json
+      (Driver.run_source (Lp_trace.Source.of_string ~name:"t.txt" s) b)
+  in
+  let cold = on_fresh_domain (fun () -> replay valid) in
+  let warm =
+    on_fresh_domain (fun () ->
+        (match replay failing with
+        | _ -> Alcotest.fail "the failing stream replayed"
+        | exception Failure _ -> ());
+        replay valid)
+  in
+  Alcotest.(check string) "after a failed block = cold" cold warm
+
 (* [replay.scratch_reuses] counts the replays whose leased tables
    already covered their object count: on a fresh domain, every replay
    of one prepared trace but the first, and no replay of a trace with
@@ -361,6 +397,8 @@ let suites =
           released_tables_are_clean;
         Alcotest.test_case "live allocators share no table" `Quick
           live_allocators_share_no_table;
+        Alcotest.test_case "live map clean after a failed block" `Quick
+          live_map_clean_after_failed_block;
       ] );
     ( "backend-properties",
       List.concat_map

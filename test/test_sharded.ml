@@ -1,9 +1,9 @@
 (* The sharded (.lpt v3) trace layout and its satellites: v2 -> v3 -> v2
-   byte-identity, seek/sub window determinism, random covering-partition
-   merges reproducing every sequential fold (stats, lifetimes, training,
-   lint), the Shard orchestrators across domain counts, the corrupt
-   corpus linted range-parallel, and the codec/capacity/GC regression
-   tests for the bugs fixed alongside. *)
+   byte-identity, windows as slices of the stream, random
+   covering-partition merges reproducing every sequential fold (stats,
+   lifetimes, training, lint), the Shard orchestrators across domain
+   counts, the corrupt corpus linted range-parallel, and the
+   codec/capacity/GC regression tests for the bugs fixed alongside. *)
 
 module Rt = Lp_ialloc.Runtime
 module B = Lp_trace.Binio
@@ -220,54 +220,30 @@ let v3_roundtrip =
       && c.Source.total_refs = trace.Lp_trace.Trace.total_refs
       && Source.n_objects src = trace.Lp_trace.Trace.n_objects)
 
-(* -- v3: seek and sub are deterministic windows ------------------------------------- *)
+(* -- v3: windows are slices of the full stream ---------------------------------- *)
 
-let seek_gen =
+let window_gen =
   QCheck.Gen.(
     triple Test_stream.random_trace_gen (int_range 1 16) (int_range 0 9999))
 
-let seek_sub_determinism =
+let window_slices =
   QCheck.Test.make ~count:40
-    ~name:"Source.seek/sub windows equal slices of the full stream"
-    (QCheck.make seek_gen)
+    ~name:"Source.of_indexed_window yields slices of the full stream"
+    (QCheck.make window_gen)
     (fun (trace, chunk_events, salt) ->
       let v3 = B.to_string_v3 ~chunk_events trace in
       let ix = B.index ~name:"rt.lpt" (B.big_of_string v3) in
       let all = events (Source.of_indexed ix) in
+      if all <> events (Source.of_trace trace) then
+        QCheck.Test.fail_reportf "the whole-trace window differs";
       let n = List.length all in
-      let pos = if n = 0 then 0 else salt mod (n + 1) in
-      let first = pos in
+      let first = if n = 0 then 0 else salt mod (n + 1) in
       let count = if n = first then 0 else salt * 7 mod (n - first + 1) in
-      List.iter
-        (fun (kind, fresh) ->
-          (* seek forward from the start *)
-          let s = fresh () in
-          Source.seek s pos;
-          if events s <> drop pos all then
-            QCheck.Test.fail_reportf "%s: seek %d differs" kind pos;
-          (* seek back after a partial drain *)
-          let s = fresh () in
-          let half = n / 2 in
-          for _ = 1 to half do
-            ignore (Source.next s)
-          done;
-          Source.seek s pos;
-          if events s <> drop pos all then
-            QCheck.Test.fail_reportf "%s: rewind to %d differs" kind pos;
-          (* sub yields exactly the requested window *)
-          let w = Source.sub (fresh ()) ~first ~count in
-          if events w <> take count (drop first all) then
-            QCheck.Test.fail_reportf "%s: sub %d+%d differs" kind first count;
-          (* and a sub of the sub nests *)
-          let inner = min count 3 in
-          let w2 = Source.sub (fresh ()) ~first ~count in
-          let w2 = Source.sub w2 ~first:0 ~count:inner in
-          if events w2 <> take inner (take count (drop first all)) then
-            QCheck.Test.fail_reportf "%s: nested sub differs" kind)
-        [
-          ("indexed", fun () -> Source.of_indexed ix);
-          ("of_trace", fun () -> Source.of_trace trace);
-        ];
+      (* a window reaching the end, and one stopping short of it *)
+      if events (Source.of_indexed_window ix ~first ~count:(n - first)) <> drop first all
+      then QCheck.Test.fail_reportf "window %d+%d differs" first (n - first);
+      if events (Source.of_indexed_window ix ~first ~count) <> take count (drop first all)
+      then QCheck.Test.fail_reportf "window %d+%d differs" first count;
       true)
 
 (* -- v3: random covering partitions merge to every sequential fold ------------------ *)
@@ -379,7 +355,7 @@ let check_partition (trace, chunk_events, cuts) =
         let src = Source.of_trace trace in
         let st = Lifetime.Train.collect_source ~config src in
         model_string_of_streamed ~config ~program:src.Source.program
-          ~funcs:(src.Source.funcs ()) st
+          ~funcs:src.Source.funcs st
       in
       if tr_seq <> tr_expect then
         QCheck.Test.fail_reportf "streamed training differs from the reference";
@@ -607,7 +583,7 @@ let shard_orchestrators () =
     let src = Source.of_trace trace in
     let st = Lifetime.Train.collect_source ~config src in
     model_string_of_streamed ~config ~program:src.Source.program
-      ~funcs:(src.Source.funcs ()) st
+      ~funcs:src.Source.funcs st
   in
   let li_expect =
     D.list_to_json (Lp_analysis.Lint.run_source (Source.of_trace trace))
@@ -664,8 +640,8 @@ let empty_trace_edge () =
   Alcotest.(check int) "zero events" 0 (Sharded.n_events sh);
   Alcotest.(check (list pass)) "no events streamed" []
     (events (Sharded.source sh));
-  let w = Source.sub (Sharded.source sh) ~first:0 ~count:0 in
-  Alcotest.(check (list pass)) "empty sub" [] (events w);
+  let w = Source.of_indexed_window (Sharded.index sh) ~first:0 ~count:0 in
+  Alcotest.(check (list pass)) "empty window" [] (events w);
   let st = Lp_trace.Stats.project (shard_run ~domains:2 Lp_trace.Stats.domain sh) in
   Alcotest.(check int) "no objects" 0 st.Lp_trace.Stats.total_objects;
   Alcotest.(check (list pass)) "no diagnostics" []
@@ -703,7 +679,7 @@ let suites =
     ( "sharded",
       [
         QCheck_alcotest.to_alcotest v3_roundtrip;
-        QCheck_alcotest.to_alcotest seek_sub_determinism;
+        QCheck_alcotest.to_alcotest window_slices;
         QCheck_alcotest.to_alcotest partition_fold_determinism;
         QCheck_alcotest.to_alcotest realloc_partition_fold_determinism;
         QCheck_alcotest.to_alcotest lifetime_fold_matches_reference;

@@ -1,8 +1,8 @@
 (* Streamed-vs-materialized equivalence for the pull-based event-source
    architecture: every registry backend must produce byte-identical
    metrics whether it replays a materialized trace or pulls the same
-   events from a text parser, a binary decoder, an in-memory cursor, or a
-   live workload generator — sequentially and across domains.  Plus the
+   events from a text parser, a binary decoder or an in-memory cursor —
+   sequentially and across domains.  Plus the
    satellite contracts: streaming training/stats/lifetimes/lint
    equivalence, the LPALLOC_DOMAINS usage error, the streaming
    observability counters, and file/offset context on I/O failures. *)
@@ -285,28 +285,6 @@ let streamed_touch_beyond_tables () =
         expect (cached (streamed with_touches)))
     (Lp_allocsim.Registry.names ())
 
-(* -- the generator source: effect-inverted workloads ------------------------------- *)
-
-let generator_source_matches_trace program () =
-  let trace = Lp_workloads.Registry.trace ~program ~input:"tiny" () in
-  let gen = Lp_workloads.Registry.source ~program ~input:"tiny" () in
-  let expect = Lp_trace.Source.fold (fun acc e -> e :: acc) [] (Source.of_trace trace) in
-  let got = Lp_trace.Source.fold (fun acc e -> e :: acc) [] gen in
-  Alcotest.(check int)
-    (program ^ " event count")
-    (List.length expect) (List.length got);
-  if got <> expect then Alcotest.failf "%s: generator events differ" program;
-  let c = Source.counters gen in
-  Alcotest.(check (list int))
-    (program ^ " counters")
-    [ trace.instructions; trace.calls; trace.heap_refs; trace.total_refs ]
-    [ c.Source.instructions; c.Source.calls; c.Source.heap_refs; c.Source.total_refs ];
-  Alcotest.(check int) (program ^ " objects") trace.n_objects (Source.n_objects gen);
-  for obj = 0 to trace.n_objects - 1 do
-    if gen.Source.refs_of obj <> trace.obj_refs.(obj) then
-      Alcotest.failf "%s: refs_of %d differs" program obj
-  done
-
 (* -- the full pipeline: Simulate.run_streamed -------------------------------------- *)
 
 let sim_fingerprint sim =
@@ -341,9 +319,7 @@ let simulate_streamed_equivalence () =
       [ 1; 2 ]
   in
   check_source "binary" (fun () -> Source.of_string ~name:"perl.lpt" bin);
-  check_source "of_trace" (fun () -> Source.of_trace trace);
-  check_source "generator" (fun () ->
-      Lp_workloads.Registry.source ~program:"perl" ~input:"tiny" ())
+  check_source "of_trace" (fun () -> Source.of_trace trace)
 
 (* -- training ----------------------------------------------------------------------- *)
 
@@ -363,7 +339,7 @@ let train_streamed_equivalence =
         (fun (kind, make) ->
           let src : Source.t = make () in
           let st = Lifetime.Train.collect_source ~config src in
-          let funcs = src.Source.funcs () in
+          let funcs = src.Source.funcs in
           let predictor' =
             Lifetime.Predictor.build ~config ~funcs st.Lifetime.Train.table
           in
@@ -659,14 +635,7 @@ let suites =
         Alcotest.test_case "grow array basics" `Quick grow_basics;
         Alcotest.test_case "lifetimes skip weightless allocations" `Quick
           lifetimes_skip_weightless_allocations;
-      ]
-      @ List.map
-          (fun program ->
-            Alcotest.test_case
-              (Printf.sprintf "generator source: %s" program)
-              `Quick
-              (generator_source_matches_trace program))
-          Lp_workloads.Registry.names );
+      ] );
     ( "stream-satellites",
       [
         Alcotest.test_case "LPALLOC_DOMAINS parse errors" `Quick domains_env_parse;
